@@ -42,7 +42,6 @@ from .phiexpr import (
     PhiFunction,
     PhiValue,
     UnknownIdentifier,
-    eval_with_derivative,
     parse,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "ValidationReport",
     "arc_length",
     "compare",
-    "eval_with_derivative",
     "lcg_closed_form",
     "lcg_numeric",
     "linear_fit",

@@ -233,6 +233,15 @@ def _sample_rows(params: _curve.CurveParams, count: int) -> list[_curve.CurveSam
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
 
+def _oracle(params: _curve.CurveParams, count: int) -> _diffgeo.OracleReport:
+    # the oracle rejects a curve it cannot re-integrate: a tangent turn that
+    # never increases, or an arc length that blows up
+    try:
+        return _diffgeo.compare(params, count)
+    except (ValueError, _diffgeo.OdeBlowUp) as exc:
+        raise CliError(EXIT_CONFIG, str(exc)) from exc
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     rows = _sample_rows(params, cfg.samples)
@@ -283,7 +292,7 @@ def _points_csv(points: list[_lcg.LcgPoint]) -> str:
 def cmd_lcg(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     closed_points = _lcg.lcg_closed_form(params, cfg.samples)
-    report = _diffgeo.compare(params, cfg.samples)
+    report = _oracle(params, cfg.samples)
     try:
         numeric_points = _lcg.lcg_numeric(report)
         closed_fit = _lcg.linear_fit(closed_points)
@@ -317,7 +326,7 @@ def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = _build_params(cfg)
-    report = _diffgeo.compare(params, cfg.samples)
+    report = _oracle(params, cfg.samples)
     closed_fit = _lcg.linear_fit(_lcg.lcg_closed_form(params, cfg.samples))
     expected_intercept = math.log(abs(params.n / params.a))
 
@@ -413,9 +422,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         _diagnose(str(exc))
         return exc.code
-    except _diffgeo.OdeBlowUp as exc:
-        _diagnose(str(exc))
-        return EXIT_CONFIG
 
 
 def main_entry() -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .phiexpr import EvalDomainError, PhiFunction
+from .phiexpr import EvalDomainError, PhiFunction, PhiValue
 
 # |n - 1| at or below this dispatches to the exponential family
 CLASS_ONE_TOL = 1e-9
@@ -138,7 +138,11 @@ class ValidationReport:
 
 def turn_angle(p: CurveParams, theta: float) -> float:
     """Accumulated tangent turn u = (theta - theta0) + (f(theta) - f(theta0))."""
-    return (theta - p.theta0) + (p.phi.value(theta) - p.phi0)
+    return _turn(p, theta, p.phi.value(theta))
+
+
+def _turn(p: CurveParams, theta: float, phi: float) -> float:
+    return (theta - p.theta0) + (phi - p.phi0)
 
 
 def _power_base(p: CurveParams, u: float) -> float:
@@ -170,7 +174,10 @@ def arc_length(p: CurveParams, theta: float) -> float:
     Raises DomainExceeded when the power base A(theta) is nonpositive
     (n != 1 only; the exponential family is defined for every turn).
     """
-    u = turn_angle(p, theta)
+    return _arc_length_of_turn(p, theta, turn_angle(p, theta))
+
+
+def _arc_length_of_turn(p: CurveParams, theta: float, u: float) -> float:
     if u == 0.0:
         return 0.0
     if p.is_class_one:
@@ -190,10 +197,23 @@ def radius_of_curvature(p: CurveParams, L: float) -> float:
     return g ** (1.0 / p.n)
 
 
+def _arc_length_and_phi(p: CurveParams, theta: float) -> tuple[float, PhiValue]:
+    """L(theta) together with phi and f'(theta), from one evaluation of phi.
+
+    Raises what arc_length followed by eval_with_derivative would raise:
+    where phi has a value but no derivative, a domain exit comes first.
+    """
+    try:
+        pv = p.phi.eval_with_derivative(theta)
+    except EvalDomainError:
+        arc_length(p, theta)
+        raise
+    return _arc_length_of_turn(p, theta, _turn(p, theta, pv.phi)), pv
+
+
 def radius_at(p: CurveParams, theta: float) -> float:
     """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative."""
-    L = arc_length(p, theta)
-    pv = p.phi.eval_with_derivative(theta)
+    L, pv = _arc_length_and_phi(p, theta)
     rho = radius_of_curvature(p, L)
     return rho * (1.0 + pv.dphi_dtheta) * math.sin(pv.phi)
 
@@ -216,10 +236,9 @@ def _invalid_sample(theta: float) -> CurveSample:
 
 def _sample_at(p: CurveParams, theta: float) -> CurveSample:
     try:
-        L = arc_length(p, theta)
-        pv = p.phi.eval_with_derivative(theta)
+        L, pv = _arc_length_and_phi(p, theta)
         rho = radius_of_curvature(p, L)
-    except (DomainExceeded, NonpositiveRho, EvalDomainError):
+    except (DomainExceeded, NonpositiveRho, EvalDomainError, OverflowError):
         return _invalid_sample(theta)
     monotone = 1.0 + pv.dphi_dtheta
     R = rho * monotone * math.sin(pv.phi)
@@ -236,7 +255,8 @@ def _sample_at(p: CurveParams, theta: float) -> CurveSample:
 def sample(p: CurveParams, count: int) -> list[CurveSample]:
     """Evaluate the curve on a uniform theta grid.
 
-    Rows past the domain boundary come back flagged in_domain=False instead
+    Rows past the domain boundary, or where rho or phi cannot be evaluated
+    (including float overflow), come back flagged in_domain=False instead
     of aborting the batch.
     """
     if count < 2:

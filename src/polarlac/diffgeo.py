@@ -283,8 +283,16 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
     aborting the run."""
     closed = _curve.sample(p, count)
 
+    # the stencils and the two Simpson segments ending at a grid theta all
+    # ask for R at theta and at theta +- default_step(theta); keeping every
+    # value R returns evaluates each of those once
+    known: dict[float, float] = {}
+
     def R(t: float) -> float:
-        return _curve.radius_at(p, t)
+        r = known.get(t)
+        if r is None:
+            r = known[t] = _curve.radius_at(p, t)
+        return r
 
     ode = ode_arc_length(p, ode_steps)
 

@@ -57,7 +57,7 @@ def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
         try:
             L = _curve.arc_length(p, theta)
             rho = _curve.radius_of_curvature(p, L)
-        except (DomainExceeded, EvalDomainError):
+        except (DomainExceeded, EvalDomainError, OverflowError):
             continue
         points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
     return points

@@ -12,13 +12,14 @@ so ``^`` binds tighter than unary minus and is right-associative, with
 ``sqrt``, ``sin``, ``cos``, ``exp`` and ``ln`` as the function set.  Every
 expression evaluates jointly with its exact first derivative by propagating
 (value, derivative) pairs through the tree; no finite differences are
-involved.
+involved.  The tree is compiled into closures once, when it is parsed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln")
 
@@ -288,46 +289,15 @@ def _check_finite(value: float, node: Node, what: str = "value") -> float:
     return value
 
 
-def _eval_value(node: Node, theta: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return theta
-    if isinstance(node, Pi):
-        return math.pi
-    if isinstance(node, Neg):
-        return -_eval_value(node.operand, theta)
-    if isinstance(node, Call):
-        a = _eval_value(node.arg, theta)
-        if node.fn == "sqrt":
-            if a < 0:
-                raise EvalDomainError("sqrt of negative", node)
-            return math.sqrt(a)
-        if node.fn == "ln":
-            if a <= 0:
-                raise EvalDomainError("ln of nonpositive", node)
-            return math.log(a)
-        if node.fn == "exp":
-            try:
-                return _check_finite(math.exp(a), node)
-            except OverflowError:
-                raise EvalDomainError("exp overflow", node) from None
-        if node.fn == "sin":
-            return math.sin(a)
-        return math.cos(a)
-    l = _eval_value(node.left, theta)
-    r = _eval_value(node.right, theta)
-    if node.op == "+":
-        return _check_finite(l + r, node)
-    if node.op == "-":
-        return _check_finite(l - r, node)
-    if node.op == "*":
-        return _check_finite(l * r, node)
-    if node.op == "/":
-        if r == 0:
-            raise EvalDomainError("division by zero", node)
-        return _check_finite(l / r, node)
-    return _pow_value(l, r, node)
+# Evaluation rules, one per operator and function.  A value rule takes the
+# operand values; a dual rule takes (value, derivative) of each operand and
+# returns the pair for the node.  ``node`` is only used to name it in errors.
+
+
+def _div_value(l: float, r: float, node: Node) -> float:
+    if r == 0:
+        raise EvalDomainError("division by zero", node)
+    return _check_finite(l / r, node)
 
 
 def _pow_value(base: float, exponent: float, node: Node) -> float:
@@ -349,32 +319,49 @@ def _pow_value(base: float, exponent: float, node: Node) -> float:
         raise EvalDomainError("power overflow", node) from None
 
 
-def _eval_dual(node: Node, theta: float) -> tuple[float, float]:
-    if isinstance(node, Num):
-        return node.value, 0.0
-    if isinstance(node, Var):
-        return theta, 1.0
-    if isinstance(node, Pi):
-        return math.pi, 0.0
-    if isinstance(node, Neg):
-        v, d = _eval_dual(node.operand, theta)
-        return -v, -d
-    if isinstance(node, Call):
-        return _call_dual(node, theta)
-    lv, ld = _eval_dual(node.left, theta)
-    rv, rd = _eval_dual(node.right, theta)
-    if node.op == "+":
-        return _check_finite(lv + rv, node), ld + rd
-    if node.op == "-":
-        return _check_finite(lv - rv, node), ld - rd
-    if node.op == "*":
-        return _check_finite(lv * rv, node), _check_finite(ld * rv + lv * rd, node, "derivative")
-    if node.op == "/":
-        if rv == 0:
-            raise EvalDomainError("division by zero", node)
-        v = lv / rv
-        return _check_finite(v, node), _check_finite((ld - v * rd) / rv, node, "derivative")
-    return _pow_dual(lv, ld, rv, rd, node)
+def _sqrt_value(a: float, node: Node) -> float:
+    if a < 0:
+        raise EvalDomainError("sqrt of negative", node)
+    return math.sqrt(a)
+
+
+def _ln_value(a: float, node: Node) -> float:
+    if a <= 0:
+        raise EvalDomainError("ln of nonpositive", node)
+    return math.log(a)
+
+
+def _exp_value(a: float, node: Node) -> float:
+    try:
+        return _check_finite(math.exp(a), node)
+    except OverflowError:
+        raise EvalDomainError("exp overflow", node) from None
+
+
+_BINARY_VALUE = {
+    "+": lambda l, r, node: _check_finite(l + r, node),
+    "-": lambda l, r, node: _check_finite(l - r, node),
+    "*": lambda l, r, node: _check_finite(l * r, node),
+    "/": _div_value,
+    "^": _pow_value,
+}
+
+_CALL_VALUE = {
+    "sqrt": _sqrt_value,
+    "ln": _ln_value,
+    "exp": _exp_value,
+    "sin": lambda a, node: math.sin(a),
+    "cos": lambda a, node: math.cos(a),
+}
+
+
+def _mul_dual(lv: float, ld: float, rv: float, rd: float, node: Node) -> tuple[float, float]:
+    return _check_finite(lv * rv, node), _check_finite(ld * rv + lv * rd, node, "derivative")
+
+
+def _div_dual(lv: float, ld: float, rv: float, rd: float, node: Node) -> tuple[float, float]:
+    v = _div_value(lv, rv, node)
+    return v, _check_finite((ld - v * rd) / rv, node, "derivative")
 
 
 def _pow_dual(bv: float, bd: float, ev: float, ed: float, node: Node) -> tuple[float, float]:
@@ -401,30 +388,112 @@ def _pow_dual(bv: float, bd: float, ev: float, ed: float, node: Node) -> tuple[f
     return v, _check_finite(d, node, "derivative")
 
 
-def _call_dual(node: Call, theta: float) -> tuple[float, float]:
-    av, ad = _eval_dual(node.arg, theta)
-    if node.fn == "sqrt":
-        if av < 0:
-            raise EvalDomainError("sqrt of negative", node)
-        v = math.sqrt(av)
-        if av == 0:
-            if ad == 0:
-                return 0.0, 0.0
-            raise EvalDomainError("unbounded derivative of sqrt at zero", node)
-        return v, ad / (2.0 * v)
-    if node.fn == "ln":
-        if av <= 0:
-            raise EvalDomainError("ln of nonpositive", node)
-        return math.log(av), ad / av
-    if node.fn == "exp":
-        try:
-            v = _check_finite(math.exp(av), node)
-        except OverflowError:
-            raise EvalDomainError("exp overflow", node) from None
-        return v, _check_finite(v * ad, node, "derivative")
-    if node.fn == "sin":
-        return math.sin(av), math.cos(av) * ad
-    return math.cos(av), -math.sin(av) * ad
+def _sqrt_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
+    v = _sqrt_value(av, node)
+    if av == 0:
+        if ad == 0:
+            return 0.0, 0.0
+        raise EvalDomainError("unbounded derivative of sqrt at zero", node)
+    return v, ad / (2.0 * v)
+
+
+def _ln_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
+    return _ln_value(av, node), ad / av
+
+
+def _exp_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
+    v = _exp_value(av, node)
+    return v, _check_finite(v * ad, node, "derivative")
+
+
+_BINARY_DUAL = {
+    "+": lambda lv, ld, rv, rd, node: (_check_finite(lv + rv, node), ld + rd),
+    "-": lambda lv, ld, rv, rd, node: (_check_finite(lv - rv, node), ld - rd),
+    "*": _mul_dual,
+    "/": _div_dual,
+    "^": _pow_dual,
+}
+
+_CALL_DUAL = {
+    "sqrt": _sqrt_dual,
+    "ln": _ln_dual,
+    "exp": _exp_dual,
+    "sin": lambda av, ad, node: (math.sin(av), math.cos(av) * ad),
+    "cos": lambda av, ad, node: (math.cos(av), -math.sin(av) * ad),
+}
+
+
+# The tree is compiled once into closures that apply the rules above:
+# ``_compile_value`` builds theta -> phi and ``_compile_dual`` builds
+# theta -> (phi, dphi/dtheta).  Operands are evaluated left to right, so a
+# closure fails at the same node, with the same error, as evaluating the
+# tree node by node would.
+
+
+def _folded(node: Node, fn: Callable):
+    """``fn``, or a constant function when ``node`` does not depend on theta
+    and evaluates without error; an error is left for evaluation to raise."""
+    if depends_on_theta(node):
+        return fn
+    try:
+        result = fn(0.0)
+    except (ArithmeticError, ValueError):
+        return fn
+    return lambda theta: result
+
+
+def _compile_value(node: Node) -> Callable[[float], float]:
+    if isinstance(node, Num):
+        fn = lambda theta: node.value
+    elif isinstance(node, Var):
+        fn = lambda theta: theta
+    elif isinstance(node, Pi):
+        fn = lambda theta: math.pi
+    elif isinstance(node, Neg):
+        operand = _compile_value(node.operand)
+        fn = lambda theta: -operand(theta)
+    elif isinstance(node, Call):
+        arg = _compile_value(node.arg)
+        rule = _CALL_VALUE[node.fn]
+        fn = lambda theta: rule(arg(theta), node)
+    else:
+        left = _compile_value(node.left)
+        right = _compile_value(node.right)
+        rule = _BINARY_VALUE[node.op]
+        fn = lambda theta: rule(left(theta), right(theta), node)
+    return _folded(node, fn)
+
+
+def _compile_dual(node: Node) -> Callable[[float], tuple[float, float]]:
+    if isinstance(node, Num):
+        fn = lambda theta: (node.value, 0.0)
+    elif isinstance(node, Var):
+        fn = lambda theta: (theta, 1.0)
+    elif isinstance(node, Pi):
+        fn = lambda theta: (math.pi, 0.0)
+    elif isinstance(node, Neg):
+        operand = _compile_dual(node.operand)
+
+        def fn(theta: float) -> tuple[float, float]:
+            v, d = operand(theta)
+            return -v, -d
+    elif isinstance(node, Call):
+        arg = _compile_dual(node.arg)
+        call_rule = _CALL_DUAL[node.fn]
+
+        def fn(theta: float) -> tuple[float, float]:
+            av, ad = arg(theta)
+            return call_rule(av, ad, node)
+    else:
+        left = _compile_dual(node.left)
+        right = _compile_dual(node.right)
+        binary_rule = _BINARY_DUAL[node.op]
+
+        def fn(theta: float) -> tuple[float, float]:
+            lv, ld = left(theta)
+            rv, rd = right(theta)
+            return binary_rule(lv, ld, rv, rd, node)
+    return _folded(node, fn)
 
 
 @dataclass(frozen=True)
@@ -434,17 +503,28 @@ class PhiFunction:
     ``value`` evaluates phi alone and succeeds anywhere the expression is
     real-valued.  ``eval_with_derivative`` additionally propagates the exact
     first derivative and therefore also rejects points where the derivative
-    is unbounded (for example sqrt(theta) at zero).
+    is unbounded (for example sqrt(theta) at zero).  Both run closures
+    compiled from the tree once, at construction.
     """
 
     source: str
     ast: Node
+    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _dual: Callable[[float], tuple[float, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_value", _compile_value(self.ast))
+        object.__setattr__(self, "_dual", _compile_dual(self.ast))
+
+    def __reduce__(self):
+        # closures do not pickle; unpickling compiles the tree again
+        return PhiFunction, (self.source, self.ast)
 
     def value(self, theta: float) -> float:
-        return _eval_value(self.ast, theta)
+        return self._value(theta)
 
     def eval_with_derivative(self, theta: float) -> PhiValue:
-        v, d = _eval_dual(self.ast, theta)
+        v, d = self._dual(theta)
         _check_finite(v, self.ast)
         _check_finite(d, self.ast, "derivative")
         return PhiValue(v, d)
@@ -457,16 +537,13 @@ class PhiFunction:
 
 
 def parse(source: str) -> PhiFunction:
-    """Parse an expression over ``theta`` into a PhiFunction.
+    """Parse an expression over ``theta`` into a PhiFunction, compiling it
+    for evaluation with its theta-free subexpressions folded to constants.
 
     Raises ParseError (with a character offset), UnknownIdentifier, or
     EmptyExpression.
     """
     return PhiFunction(source, _Parser(source).parse())
-
-
-def eval_with_derivative(f: PhiFunction, theta: float) -> PhiValue:
-    return f.eval_with_derivative(theta)
 
 
 def depends_on_theta(node: Node) -> bool:

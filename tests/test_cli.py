@@ -23,6 +23,14 @@ def run(args, tmp_path, sub="sample", extra=()):
     return main([sub, *args, *extra, "--out", str(tmp_path)])
 
 
+def run_process(argv, tmp_path):
+    return subprocess.run(
+        [sys.executable, "-m", "polarlac", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+
+
 def read_json(tmp_path, name):
     with open(tmp_path / name, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -104,6 +112,17 @@ class TestSampleCommand:
 
     def test_samples_too_small_exit_2(self, tmp_path):
         assert run(FIG4, tmp_path, extra=("--samples", "1")) == 2
+
+    def test_overflowing_rows_flagged(self, tmp_path):
+        argv = ["sample", "--n", "0.5", "--b", "1e300", "--theta1", "1", "--phi", "theta",
+                "--samples", "2"]
+        proc = run_process(argv, tmp_path)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        rows = read_json(tmp_path, "samples.json")["rows"]
+        assert [r["in_domain"] for r in rows] == [False, False]
+        lines = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        assert all(line.endswith(",false") for line in lines)
 
     def test_diagnostics_plain_when_not_a_tty(self, tmp_path, capsys):
         run(["--n", "1", "--theta1", "15", "--phi", "theta +"], tmp_path)
@@ -264,6 +283,14 @@ class TestVerifyCommand:
         assert data["residuals"]["arc_numeric_vs_model"]["count"] == 0
         assert data["residuals"]["arc_numeric_vs_model"]["max"] is None
         assert data["residuals"]["ode_vs_closed"]["max"] <= 1e-8
+
+
+@pytest.mark.parametrize("sub", ["lcg", "verify"])
+def test_turn_that_never_increases_exits_2(tmp_path, sub):
+    proc = run_process([sub, "--n", "1", "--theta1", "5", "--phi", "0 - theta"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: tangent turn must increase from theta0 to theta1"]
 
 
 def polyline_points(svg_text):

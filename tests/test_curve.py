@@ -168,6 +168,16 @@ class TestSample:
         rows = sample(p, 5)
         assert [r.valid.in_domain for r in rows] == [True, True, False, False, False]
 
+    def test_overflowing_rho_flagged(self):
+        # rho = b^(1/n) = (1e300)^2 overflows at theta0; theta1 is past the domain
+        p = params(0.5, b=1e300, theta1=1.0, phi="theta")
+        assert [r.valid.in_domain for r in sample(p, 2)] == [False, False]
+
+    def test_overflowing_arc_length_flagged(self):
+        # L = expm1(2 theta) overflows once 2 theta passes about 709.8
+        p = params(1.0, theta1=400.0, phi="theta")
+        assert [r.valid.in_domain for r in sample(p, 5)] == [True, True, True, True, False]
+
     def test_cartesian_identities(self, fig5):
         for r in sample(fig5, 33):
             assert r.x == r.R * math.cos(r.theta)

@@ -12,7 +12,9 @@ from polarlac import (
     ode_arc_length,
     radius_at,
 )
+from polarlac import curve
 from polarlac.diffgeo import DegeneratePoint
+from polarlac.phiexpr import PhiFunction
 from conftest import params
 
 
@@ -194,6 +196,28 @@ class TestCompare:
         assert report.rho_residual.count == 0
         assert report.ode_residual.count == 31
         assert report.ode_residual.max <= 1e-8
+
+    def test_work_per_row(self, monkeypatch):
+        # the stencils reuse the R values of the Simpson segments ending at
+        # each grid theta, and R takes phi from its one dual evaluation, so
+        # plain phi values remain only for phi_prescribed and the ODE check
+        calls = {"R": 0, "phi": 0}
+        radius_at_ = curve.radius_at
+        value = PhiFunction.value
+
+        def counted_radius_at(p, theta):
+            calls["R"] += 1
+            return radius_at_(p, theta)
+
+        def counted_value(self, theta):
+            calls["phi"] += 1
+            return value(self, theta)
+
+        monkeypatch.setattr(curve, "radius_at", counted_radius_at)
+        monkeypatch.setattr(PhiFunction, "value", counted_value)
+        compare(params(2.0, theta1=5.0, phi="pi/8"), 1024)
+        assert calls["R"] <= 13 * 1024
+        assert calls["phi"] <= 3 * 1024
 
     def test_row_columns_join_closed_and_numeric(self, fig4):
         report = compare(fig4, 16)

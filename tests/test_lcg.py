@@ -37,6 +37,11 @@ class TestLcgClosedForm:
         assert 2 <= len(points) < 64
         assert all(math.isfinite(pt.x) and math.isfinite(pt.y) for pt in points)
 
+    def test_skips_rows_that_overflow(self):
+        assert lcg_closed_form(params(0.5, b=1e300, theta1=1.0, phi="theta"), 2) == []
+        points = lcg_closed_form(params(1.0, theta1=400.0, phi="theta"), 5)
+        assert len(points) == 4
+
     def test_count_too_small(self, fig4):
         with pytest.raises(ValueError):
             lcg_closed_form(fig4, 1)

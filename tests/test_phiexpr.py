@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import pickle
 import random
 import zlib
 
@@ -208,10 +210,68 @@ class TestEvaluation:
         assert v.phi == pytest.approx(27.0, rel=1e-15)
         assert v.dphi_dtheta == pytest.approx(27.0 * (math.log(3.0) + 1.0), rel=1e-15)
 
+    def test_pickle_round_trip(self):
+        f = parse("sqrt(theta) + pi/8")
+        again = pickle.loads(pickle.dumps(f))
+        assert again == f
+        assert again.eval_with_derivative(2.0) == f.eval_with_derivative(2.0)
+
     def test_phi_function_is_immutable(self):
         f = parse("pi/2")
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.source = "pi"
+
+
+# points where evaluation fails, or where a constant subtree decides the
+# result: domain edges, a constant that cannot be evaluated, signed zeros
+EDGE_POINTS = [
+    ("sqrt(theta)", 0.0),
+    ("ln(theta)", 0.0),
+    ("theta^-1", 0.0),
+    ("ln(0) + theta", 1.0),
+    ("-pi", 0.0),
+    ("-(pi/8)*theta", -1.0),
+    ("1e999", 0.0),
+    ("sin(1e999) + theta", 0.0),
+    ("(0 - 2)^1e999", 0.0),
+    ("sqrt(0)*theta", 2.0),
+    ("0^0.5 + theta^0.5", 0.0),
+]
+
+# sha256 of every value, derivative and error message below, recorded with
+# the tree-walking evaluator this package used before phi was compiled
+EVALUATION_FINGERPRINT = "287c03aa2ce3dc4237168a48edc2aa27ff16b430067c5bdffb890ea64970a2a5"
+
+
+def _evaluation_record() -> str:
+    cases = [(s, [lo + i * (hi - lo) / 16 for i in range(17)]) for s, lo, hi in EXPRESSION_CORPUS]
+    cases += [(s, [theta]) for s, theta in EDGE_POINTS]
+    lines = []
+    for source, thetas in cases:
+        f = parse(source)
+        for theta in thetas:
+            for name, evaluate in (("value", f.value), ("dual", f.eval_with_derivative)):
+                try:
+                    out = evaluate(theta)
+                except (ArithmeticError, ValueError) as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                else:
+                    text = out.hex() if name == "value" else f"{out.phi.hex()} {out.dphi_dtheta.hex()}"
+                lines.append(f"{source} @ {theta.hex()} {name}: {text}")
+    return "\n".join(lines)
+
+
+def test_evaluation_is_bit_for_bit_stable():
+    record = _evaluation_record()
+    assert hashlib.sha256(record.encode()).hexdigest() == EVALUATION_FINGERPRINT, record
+
+
+def test_constant_domain_error_raised_at_evaluation():
+    f = parse("ln(0) + theta")
+    for evaluate in (f.value, f.eval_with_derivative):
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(1.0)
+        assert str(exc.value) == "ln of nonpositive in 'ln(0.0)'"
 
 
 @pytest.mark.parametrize("source,lo,hi", EXPRESSION_CORPUS, ids=[c[0] for c in EXPRESSION_CORPUS])
