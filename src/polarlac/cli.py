@@ -242,35 +242,55 @@ def _oracle(params: _curve.CurveParams, count: int) -> _diffgeo.OracleReport:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
 
+# One row of samples.csv / samples.json per format operation.  The JSON
+# template is what json.dumps(indent=2, sort_keys=True) writes for a row dict
+# after _json_safe; _json_number is its encoding of one float.
+_CSV_ROW = ",".join(["%.17g"] * 8) + ",%s"
+_JSON_ROW = """    {
+      "L": %s,
+      "R": %s,
+      "beta": %s,
+      "in_domain": %s,
+      "phi": %s,
+      "rho": %s,
+      "theta": %s,
+      "x": %s,
+      "y": %s
+    }"""
+
+
+def _json_number(v: float) -> str:
+    return repr(v) if math.isfinite(v) else "null"
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     rows = _sample_rows(params, cfg.samples)
-    lines = ["theta,L,R,rho,phi,beta,x,y,in_domain"]
+    csv_lines = ["theta,L,R,rho,phi,beta,x,y,in_domain"]
+    json_rows = []
     for r in rows:
         flag = "true" if r.valid.in_domain else "false"
-        lines.append(
-            ",".join(_f17(v) for v in (r.theta, r.L, r.R, r.rho, r.phi, r.beta, r.x, r.y))
-            + f",{flag}"
+        csv_lines.append(_CSV_ROW % (r.theta, r.L, r.R, r.rho, r.phi, r.beta, r.x, r.y, flag))
+        json_rows.append(
+            _JSON_ROW
+            % (
+                _json_number(r.L),
+                _json_number(r.R),
+                _json_number(r.beta),
+                flag,
+                _json_number(r.phi),
+                _json_number(r.rho),
+                _json_number(r.theta),
+                _json_number(r.x),
+                _json_number(r.y),
+            )
         )
-    _write_atomic(cfg.out_dir, "samples.csv", "\n".join(lines) + "\n")
-    payload = {
-        "params": _params_echo(cfg),
-        "rows": [
-            {
-                "theta": r.theta,
-                "L": r.L,
-                "R": r.R,
-                "rho": r.rho,
-                "phi": r.phi,
-                "beta": r.beta,
-                "x": r.x,
-                "y": r.y,
-                "in_domain": r.valid.in_domain,
-            }
-            for r in rows
-        ],
-    }
-    _write_atomic(cfg.out_dir, "samples.json", _dump_json(payload))
+    _write_atomic(cfg.out_dir, "samples.csv", "\n".join(csv_lines) + "\n")
+    # the params block goes through the encoder; "params" sorts before
+    # "rows", so the rows array goes in place of the closing "\n}\n"
+    head = _dump_json({"params": _params_echo(cfg)})[:-3]
+    text = head + ',\n  "rows": [\n' + ",\n".join(json_rows) + "\n  ]\n}\n"
+    _write_atomic(cfg.out_dir, "samples.json", text)
     return 0
 
 
@@ -327,7 +347,11 @@ def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
 def cmd_verify(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     report = _oracle(params, cfg.samples)
-    closed_fit = _lcg.linear_fit(_lcg.lcg_closed_form(params, cfg.samples))
+    closed_points = _lcg.lcg_closed_form(params, cfg.samples)
+    try:
+        closed_fit = _lcg.linear_fit(closed_points)
+    except (_lcg.TooFewPoints, _lcg.DegenerateFit, ValueError) as exc:
+        raise CliError(EXIT_DEGENERATE, f"logarithmic curvature graph degenerated: {exc}") from exc
     expected_intercept = math.log(abs(params.n / params.a))
 
     checks = []
@@ -402,7 +426,11 @@ def cmd_svg(cfg: RunConfig) -> int:
         _write_atomic(cfg.out_dir, "rho.svg", _svgplot.render_polyline([(r.theta, r.rho) for r in good]))
     if "svg-lcg" in cfg.outputs:
         points = _lcg.lcg_closed_form(params, cfg.samples)
-        _write_atomic(cfg.out_dir, "lcg.svg", _svgplot.render_polyline([(pt.x, pt.y) for pt in points]))
+        try:
+            text = _svgplot.render_polyline([(pt.x, pt.y) for pt in points])
+        except ValueError as exc:
+            raise CliError(EXIT_DEGENERATE, f"logarithmic curvature graph degenerated: {exc}") from exc
+        _write_atomic(cfg.out_dir, "lcg.svg", text)
     return 0
 
 

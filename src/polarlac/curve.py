@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .phiexpr import EvalDomainError, PhiFunction, PhiValue
 
@@ -33,14 +34,24 @@ class DomainExceeded(ValueError):
     """A(theta) <= 0: the curve is not defined this far.
 
     ``theta_max`` is the largest angle (to 1e-12) where A is still positive.
+    It is bisected on first read, of the attribute or of the message, and
+    cached: most callers only flag the row and never read it.
     """
 
-    def __init__(self, theta: float, theta_max: float):
-        super().__init__(
-            f"curve domain exceeded at theta={theta!r}; largest valid theta is {theta_max!r}"
-        )
+    def __init__(self, p: CurveParams, theta: float):
+        super().__init__(p, theta)
+        self._params = p
         self.theta = theta
-        self.theta_max = theta_max
+
+    @cached_property
+    def theta_max(self) -> float:
+        return _domain_boundary(self._params, self.theta)
+
+    def __str__(self) -> str:
+        return (
+            f"curve domain exceeded at theta={self.theta!r}; "
+            f"largest valid theta is {self.theta_max!r}"
+        )
 
 
 class NonpositiveRho(ValueError):
@@ -184,7 +195,7 @@ def _arc_length_of_turn(p: CurveParams, theta: float, u: float) -> float:
         return (p.b / p.a) * math.expm1(p.a * u)
     base = _power_base(p, u)
     if base <= 0.0:
-        raise DomainExceeded(theta, _domain_boundary(p, theta))
+        raise DomainExceeded(p, theta)
     return (base ** (p.n / (p.n - 1.0)) - p.b) / p.a
 
 

@@ -202,10 +202,12 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
     us = [i * du for i in range(steps + 1)]
     us[-1] = u_total
     Ls = [0.0]
-    slopes = [rhs(0.0)]
     L = 0.0
-    for k in range(steps):
-        try:
+    k = 0
+    try:
+        # the start slope b^(1/n) can itself overflow
+        slopes = [rhs(0.0)]
+        for k in range(steps):
             k1 = slopes[-1]
             k2 = rhs(L + 0.5 * du * k1)
             k3 = rhs(L + 0.5 * du * k2)
@@ -214,9 +216,9 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
             if not math.isfinite(L) or abs(L) > _BLOWUP_LIMIT:
                 raise OverflowError
             slopes.append(rhs(L))
-        except (OverflowError, NonpositiveRho):
-            raise OdeBlowUp(_theta_of_turn(p, us[k]), Ls[-1]) from None
-        Ls.append(L)
+            Ls.append(L)
+    except (OverflowError, NonpositiveRho):
+        raise OdeBlowUp(_theta_of_turn(p, us[k]), Ls[-1]) from None
     return _DenseOde(p, us, Ls, slopes)
 
 

@@ -46,7 +46,8 @@ class LcgLine:
 
 def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
     """Graph points from the model: (ln rho, ln|n/a| + ln(aL + b)) on a
-    uniform theta grid, skipping any rows past the domain boundary."""
+    uniform theta grid, skipping any rows past the domain boundary or where
+    rho overflows or underflows."""
     if count < 2:
         raise ValueError("count must be at least 2")
     span = p.theta1 - p.theta0
@@ -58,6 +59,8 @@ def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
             L = _curve.arc_length(p, theta)
             rho = _curve.radius_of_curvature(p, L)
         except (DomainExceeded, EvalDomainError, OverflowError):
+            continue
+        if not rho > 0.0:  # rho underflowed; it has no logarithm
             continue
         points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
     return points

@@ -1,14 +1,16 @@
 import json
 import math
+import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from polarlac import CurveParams, arc_length, parse, radius_at, radius_of_curvature
+from polarlac import CurveParams, arc_length, cli, curve, parse, radius_at, radius_of_curvature
 from polarlac.cli import main
 from polarlac.svgplot import render_polyline
 from conftest import load_schema
@@ -123,6 +125,46 @@ class TestSampleCommand:
         assert [r["in_domain"] for r in rows] == [False, False]
         lines = (tmp_path / "samples.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",false") for line in lines)
+
+    def test_rows_written_as_the_generic_encoders_would(self, tmp_path, monkeypatch):
+        # the rows are written from fixed templates; they must match, byte
+        # for byte, the per-value %.17g join and json.dumps of the row dicts
+        pool = [
+            0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
+            0.1, 1.0 / 3.0, -2.5, 1e16, 1e22, -1.7976931348623157e308, 123456789.0, 1e-7,
+            math.inf, -math.inf, math.nan,
+        ]
+        rng = random.Random(20261018)
+        pool += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(64)]
+        rows = []
+        for i in range(3 * len(pool)):
+            if i % 5 == 4:
+                rows.append(curve._invalid_sample(pool[i % len(pool)]))
+                continue
+            v = [pool[(i + 7 * k) % len(pool)] for k in range(9)]
+            valid = curve.SampleValidity(i % 2 == 0, i % 3 == 0, True, i % 7 != 3)
+            rows.append(curve.CurveSample(*v, valid))
+        monkeypatch.setattr(curve, "sample", lambda p, count: rows)
+
+        argv = ["--n", "2", "--a", "-1", "--theta1", "5", "--phi", "pi/8"]
+        assert run(argv, tmp_path, extra=("--samples", "8")) == 0
+
+        lines = ["theta,L,R,rho,phi,beta,x,y,in_domain"]
+        for r in rows:
+            values = (r.theta, r.L, r.R, r.rho, r.phi, r.beta, r.x, r.y)
+            flag = "true" if r.valid.in_domain else "false"
+            lines.append(",".join(cli._f17(v) for v in values) + f",{flag}")
+        payload = {
+            "params": {"n": 2.0, "a": -1.0, "b": 1.0, "theta0": 0.0, "theta1": 5.0,
+                       "phi": "pi/8", "samples": 8},
+            "rows": [
+                {"theta": r.theta, "L": r.L, "R": r.R, "rho": r.rho, "phi": r.phi, "beta": r.beta,
+                 "x": r.x, "y": r.y, "in_domain": r.valid.in_domain}
+                for r in rows
+            ],
+        }
+        assert (tmp_path / "samples.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "samples.json").read_bytes() == cli._dump_json(payload).encode()
 
     def test_diagnostics_plain_when_not_a_tty(self, tmp_path, capsys):
         run(["--n", "1", "--theta1", "15", "--phi", "theta +"], tmp_path)
@@ -291,6 +333,32 @@ def test_turn_that_never_increases_exits_2(tmp_path, sub):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: tangent turn must increase from theta0 to theta1"]
+
+
+NUMERIC_EDGE_ARGS = ["--theta1", "1", "--phi", "theta", "--samples", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # b^(1/n) = 1e600 overflows at the first RK4 slope
+        (["verify", "--n", "0.5", "--b", "1e300"], 2),
+        (["lcg", "--n", "0.5", "--b", "1e300"], 2),
+        # rho = b^(1/n) = 1e-600 underflows to 0, which has no logarithm
+        (["lcg", "--n", "0.5", "--b", "1e-300"], 5),
+        (["verify", "--n", "0.5", "--b", "1e-300"], 5),
+        (["svg", "--n", "0.5", "--b", "1e-300"], 5),
+        # every closed-form rho is the same float, so the fit has no slope
+        (["verify", "--n", "1e300"], 5),
+    ],
+    ids=["verify-rk4-start", "lcg-rk4-start", "lcg-rho-0", "verify-rho-0", "svg-rho-0", "verify-flat-fit"],
+)
+def test_numeric_edges_end_in_a_documented_code(tmp_path, argv, code):
+    proc = run_process([*argv, *NUMERIC_EDGE_ARGS], tmp_path)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def polyline_points(svg_text):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from polarlac import (
     sample,
     validate,
 )
+from polarlac import curve
 from conftest import params
 
 
@@ -99,6 +101,29 @@ class TestArcLength:
             arc_length(p, 1.5)
         assert exc.value.theta_max == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n,theta1,theta", [(-1.0, 15.0, -0.6), (0.5, 2.0, 1.5)])
+    def test_domain_boundary_bisected_once_on_first_read(self, monkeypatch, n, theta1, theta):
+        p = params(n, theta1=theta1)
+        bisect = curve._domain_boundary
+        eager = bisect(p, theta)
+        calls = []
+
+        def counting(q, theta_bad):
+            calls.append(theta_bad)
+            return bisect(q, theta_bad)
+
+        monkeypatch.setattr(curve, "_domain_boundary", counting)
+        with pytest.raises(DomainExceeded) as exc:
+            arc_length(p, theta)
+        assert calls == []
+        assert str(exc.value) == (
+            f"curve domain exceeded at theta={theta!r}; largest valid theta is {eager!r}"
+        )
+        assert exc.value.theta_max == eager
+        assert calls == [theta]
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert (copy.theta, copy.theta_max, str(copy)) == (theta, eager, str(exc.value))
+
 
 class TestRadiusOfCurvature:
     def test_linear_law(self, fig4):
@@ -167,6 +192,21 @@ class TestSample:
         p = params(0.5, theta1=2.0)
         rows = sample(p, 5)
         assert [r.valid.in_domain for r in rows] == [True, True, False, False, False]
+
+    def test_flagged_rows_skip_the_boundary_bisection(self, monkeypatch):
+        # nobody reads theta_max of a flagged row, so it is never bisected
+        calls = []
+        bisect = curve._domain_boundary
+
+        def counting(q, theta_bad):
+            calls.append(theta_bad)
+            return bisect(q, theta_bad)
+
+        monkeypatch.setattr(curve, "_domain_boundary", counting)
+        p = params(2.0, a=-1.0, theta1=5.0, phi="pi/8")
+        rows = sample(p, 64)
+        assert sum(not r.valid.in_domain for r in rows) > 30
+        assert calls == []
 
     def test_overflowing_rho_flagged(self):
         # rho = b^(1/n) = (1e300)^2 overflows at theta0; theta1 is past the domain
