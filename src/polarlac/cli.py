@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import curve as _curve
 from . import diffgeo as _diffgeo
@@ -47,8 +47,7 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     n: float
     a: float
     b: float
@@ -185,6 +184,11 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would,
+            # 0666 less the umask, which can only be read by setting it
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, os.path.join(out_dir, name))
         except BaseException:
             try:

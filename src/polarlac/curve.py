@@ -13,6 +13,11 @@ and for n != 1 the turn enters through the power base
 
 valid while A stays positive.  The radius follows as
 R = rho(L) * (1 + f'(theta)) * sin f(theta) in both families.
+
+Each CurveParams compiles these forms once, at construction, into a
+kernel of closures: the family is picked there, and the terms that depend
+only on the parameters are computed there, in the same float operations
+the formulas above spell out.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
-from .phiexpr import EvalDomainError, PhiFunction, PhiValue
+from .phiexpr import EvalDomainError, PhiFunction
 
 # |n - 1| at or below this dispatches to the exponential family
 CLASS_ONE_TOL = 1e-9
@@ -71,6 +77,7 @@ class CurveParams:
     theta1: float
     phi: PhiFunction
     phi0: float = field(init=False, repr=False, compare=False)
+    _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "a", "b", "theta0", "theta1"):
@@ -92,22 +99,25 @@ class CurveParams:
         if not math.isfinite(phi0):
             raise ValueError("phi(theta0) is not finite")
         object.__setattr__(self, "phi0", phi0)
+        object.__setattr__(self, "_kernel", _compile(self))
+
+    def __reduce__(self):
+        # the kernel's closures do not pickle; unpickling compiles it again
+        return CurveParams, (self.n, self.a, self.b, self.theta0, self.theta1, self.phi)
 
     @property
     def is_class_one(self) -> bool:
         return abs(self.n - 1.0) <= CLASS_ONE_TOL
 
 
-@dataclass(frozen=True)
-class SampleValidity:
+class SampleValidity(NamedTuple):
     rho_positive: bool
     radius_positive: bool
     monotone_factor_positive: bool
     in_domain: bool
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(NamedTuple):
     theta: float
     L: float
     R: float
@@ -120,14 +130,12 @@ class CurveSample:
     valid: SampleValidity
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool
     first_violation: float | None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     in_domain: ConditionReport
     rho_positive: ConditionReport
     radius_positive: ConditionReport
@@ -135,41 +143,94 @@ class ValidationReport:
     sin_phi_positive: ConditionReport
 
     def all_hold(self) -> bool:
-        return all(
-            getattr(self, f).holds
-            for f in (
-                "in_domain",
-                "rho_positive",
-                "radius_positive",
-                "monotone_factor_positive",
-                "sin_phi_positive",
-            )
-        )
+        return all(c.holds for c in self)
+
+
+class _Kernel(NamedTuple):
+    """The closed forms of one curve, compiled by ``_compile``."""
+
+    base: Callable[[float], float]  # u -> A
+    arc: Callable[[float, float], float]  # (theta, u) -> L
+    rho: Callable[[float], float]  # L -> rho
+    point: Callable[[float], tuple[float, float, float, float]]  # theta -> (L, rho, phi, f')
+
+
+def _compile(p: CurveParams) -> _Kernel:
+    n, a, b = p.n, p.a, p.b
+    phi, theta0, phi0 = p.phi, p.theta0, p.phi0
+    slope = a * (n - 1.0)
+    try:
+        offset = n * b ** (1.0 - 1.0 / n)
+    except OverflowError:
+        # b^(1-1/n) is out of float range: every A(theta) raises, as the
+        # formula does, when it is asked for and not before
+        def base(u: float) -> float:
+            return (slope * u + n * b ** (1.0 - 1.0 / n)) / n
+    else:
+        def base(u: float) -> float:
+            return (slope * u + offset) / n
+
+    if p.is_class_one:
+        b_over_a = b / a
+
+        def arc(theta: float, u: float) -> float:
+            if u == 0.0:
+                return 0.0
+            return b_over_a * math.expm1(a * u)
+
+        def rho(L: float) -> float:
+            g = a * L + b
+            if g <= 0.0:
+                raise NonpositiveRho(g)
+            return g
+    else:
+        power = n / (n - 1.0)
+        inv_n = 1.0 / n
+
+        def arc(theta: float, u: float) -> float:
+            if u == 0.0:
+                return 0.0
+            A = base(u)
+            if A <= 0.0:
+                raise DomainExceeded(p, theta)
+            return (A ** power - b) / a
+
+        def rho(L: float) -> float:
+            g = a * L + b
+            if g <= 0.0:
+                raise NonpositiveRho(g)
+            return g ** inv_n
+
+    def point(theta: float) -> tuple[float, float, float, float]:
+        # one evaluation of phi gives both the turn and f'; where phi has a
+        # value but no derivative, a domain exit is reported first
+        try:
+            v, d = phi.eval_with_derivative(theta)
+        except EvalDomainError:
+            arc_length(p, theta)
+            raise
+        L = arc(theta, (theta - theta0) + (v - phi0))
+        return L, rho(L), v, d
+
+    return _Kernel(base, arc, rho, point)
 
 
 def turn_angle(p: CurveParams, theta: float) -> float:
     """Accumulated tangent turn u = (theta - theta0) + (f(theta) - f(theta0))."""
-    return _turn(p, theta, p.phi.value(theta))
-
-
-def _turn(p: CurveParams, theta: float, phi: float) -> float:
-    return (theta - p.theta0) + (phi - p.phi0)
-
-
-def _power_base(p: CurveParams, u: float) -> float:
-    return (p.a * (p.n - 1.0) * u + p.n * p.b ** (1.0 - 1.0 / p.n)) / p.n
+    return (theta - p.theta0) + (p.phi.value(theta) - p.phi0)
 
 
 def _domain_boundary(p: CurveParams, theta_bad: float) -> float:
     # A is positive at theta0 (it equals b^(1-1/n) there) and nonpositive at
     # theta_bad; bisect the bracket down to 1e-12 in theta
+    base = p._kernel.base
     good, bad = p.theta0, theta_bad
     while abs(bad - good) > _BISECT_TOL:
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
         try:
-            positive = _power_base(p, turn_angle(p, mid)) > 0.0
+            positive = base(turn_angle(p, mid)) > 0.0
         except EvalDomainError:
             positive = False
         if positive:
@@ -185,48 +246,17 @@ def arc_length(p: CurveParams, theta: float) -> float:
     Raises DomainExceeded when the power base A(theta) is nonpositive
     (n != 1 only; the exponential family is defined for every turn).
     """
-    return _arc_length_of_turn(p, theta, turn_angle(p, theta))
-
-
-def _arc_length_of_turn(p: CurveParams, theta: float, u: float) -> float:
-    if u == 0.0:
-        return 0.0
-    if p.is_class_one:
-        return (p.b / p.a) * math.expm1(p.a * u)
-    base = _power_base(p, u)
-    if base <= 0.0:
-        raise DomainExceeded(p, theta)
-    return (base ** (p.n / (p.n - 1.0)) - p.b) / p.a
+    return p._kernel.arc(theta, turn_angle(p, theta))
 
 
 def radius_of_curvature(p: CurveParams, L: float) -> float:
-    g = p.a * L + p.b
-    if g <= 0.0:
-        raise NonpositiveRho(g)
-    if p.is_class_one:
-        return g
-    return g ** (1.0 / p.n)
-
-
-def _arc_length_and_phi(p: CurveParams, theta: float) -> tuple[float, PhiValue]:
-    """L(theta) together with phi and f'(theta), from one evaluation of phi.
-
-    Raises what arc_length followed by eval_with_derivative would raise:
-    where phi has a value but no derivative, a domain exit comes first.
-    """
-    try:
-        pv = p.phi.eval_with_derivative(theta)
-    except EvalDomainError:
-        arc_length(p, theta)
-        raise
-    return _arc_length_of_turn(p, theta, _turn(p, theta, pv.phi)), pv
+    return p._kernel.rho(L)
 
 
 def radius_at(p: CurveParams, theta: float) -> float:
     """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative."""
-    L, pv = _arc_length_and_phi(p, theta)
-    rho = radius_of_curvature(p, L)
-    return rho * (1.0 + pv.dphi_dtheta) * math.sin(pv.phi)
+    _, rho, phi, dphi = p._kernel.point(theta)
+    return rho * (1.0 + dphi) * math.sin(phi)
 
 
 def _grid(p: CurveParams, count: int) -> list[float]:
@@ -238,29 +268,22 @@ def _grid(p: CurveParams, count: int) -> list[float]:
 
 
 _NAN = float("nan")
+_INVALID = SampleValidity(False, False, False, False)
 
 
 def _invalid_sample(theta: float) -> CurveSample:
-    flags = SampleValidity(False, False, False, False)
-    return CurveSample(theta, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, flags)
+    return CurveSample(theta, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _INVALID)
 
 
 def _sample_at(p: CurveParams, theta: float) -> CurveSample:
     try:
-        L, pv = _arc_length_and_phi(p, theta)
-        rho = radius_of_curvature(p, L)
+        L, rho, phi, dphi = p._kernel.point(theta)
     except (DomainExceeded, NonpositiveRho, EvalDomainError, OverflowError):
         return _invalid_sample(theta)
-    monotone = 1.0 + pv.dphi_dtheta
-    R = rho * monotone * math.sin(pv.phi)
-    beta = theta + pv.phi
-    flags = SampleValidity(
-        rho_positive=rho > 0.0,
-        radius_positive=R > 0.0,
-        monotone_factor_positive=monotone > 0.0,
-        in_domain=True,
-    )
-    return CurveSample(theta, L, R, rho, pv.phi, pv.dphi_dtheta, beta, R * math.cos(theta), R * math.sin(theta), flags)
+    monotone = 1.0 + dphi
+    R = rho * monotone * math.sin(phi)
+    valid = SampleValidity(rho > 0.0, R > 0.0, monotone > 0.0, True)
+    return CurveSample(theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), valid)
 
 
 def sample(p: CurveParams, count: int) -> list[CurveSample]:

@@ -10,8 +10,7 @@ this module measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import curve as _curve
 from .curve import CurveParams, DomainExceeded, NonpositiveRho, turn_angle
@@ -20,6 +19,10 @@ from .phiexpr import EvalDomainError
 _DEGENERATE_FLOOR = 1e-24
 _SIMPSON_TOL = 1e-10
 _SIMPSON_MAX_DEPTH = 48
+# integrand evaluations one numeric_arc_length call may make: 16 times the
+# most that any grid segment of the test suite or the benchmark needs (257),
+# and 3 times what one segment over a whole figure range needs (1345)
+_SIMPSON_MAX_EVALS = 4096
 _NOISE_FLOOR = 2.0 ** -34
 _BLOWUP_LIMIT = 1e12
 
@@ -29,8 +32,8 @@ class DegeneratePoint(ArithmeticError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    def __init__(self, a: float, b: float):
-        super().__init__(f"quadrature on [{a!r}, {b!r}] hit max refinement depth")
+    def __init__(self, a: float, b: float, limit: str = "max refinement depth"):
+        super().__init__(f"quadrature on [{a!r}, {b!r}] hit {limit}")
 
 
 class OdeBlowUp(ArithmeticError):
@@ -45,10 +48,6 @@ class OdeBlowUp(ArithmeticError):
 def default_step(theta: float) -> float:
     """Central-difference step balancing truncation against round-off."""
     return 1e-5 * max(1.0, abs(theta))
-
-
-def _first_derivative(R: Callable[[float], float], theta: float, h: float) -> float:
-    return (R(theta + h) - R(theta - h)) / (2.0 * h)
 
 
 def numeric_curvature(R: Callable[[float], float], theta: float, h: float | None = None) -> float:
@@ -74,7 +73,7 @@ def numeric_phi(R: Callable[[float], float], theta: float, h: float | None = Non
     if h is None:
         h = default_step(theta)
     r0 = R(theta)
-    rp = _first_derivative(R, theta, h)
+    rp = (R(theta + h) - R(theta - h)) / (2.0 * h)
     if r0 * r0 + rp * rp < _DEGENERATE_FLOOR:
         raise DegeneratePoint(f"R and R' vanish near theta={theta!r}")
     v = math.atan2(r0, rp) % math.pi
@@ -109,14 +108,29 @@ def _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth):
 
 def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: float) -> float:
     """Geometric arc length: adaptive Simpson quadrature of sqrt(R^2 + R'^2)
-    to absolute tolerance 1e-10, R' by central difference."""
+    to absolute tolerance 1e-10, R' by central difference.
+
+    Raises ToleranceNotMet when the quadrature reaches its maximum depth,
+    or when it would evaluate the integrand more than _SIMPSON_MAX_EVALS
+    times (three R calls each): a long, oscillating segment cannot run
+    unbounded.
+    """
     if theta_a > theta_b:
         raise ValueError("theta_a must not exceed theta_b")
     if theta_a == theta_b:
         return 0.0
+    evals = 0
 
     def g(t: float) -> float:
-        return math.hypot(R(t), _first_derivative(R, t, default_step(t)))
+        nonlocal evals
+        evals += 1
+        if evals > _SIMPSON_MAX_EVALS:
+            raise ToleranceNotMet(
+                theta_a, theta_b, f"its budget of {_SIMPSON_MAX_EVALS} integrand evaluations"
+            )
+        # sqrt(R^2 + R'^2), with default_step and the central difference inline
+        h = 1e-5 * max(1.0, abs(t))
+        return math.hypot(R(t), (R(t + h) - R(t - h)) / (2.0 * h))
 
     fa = g(theta_a)
     fb = g(theta_b)
@@ -186,44 +200,68 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
     if not u_total > 0.0:
         raise ValueError("tangent turn must increase from theta0 to theta1")
 
-    if p.is_class_one:
-        def rhs(L: float) -> float:
-            return p.a * L + p.b
-    else:
-        inv_n = 1.0 / p.n
-
-        def rhs(L: float) -> float:
-            g = p.a * L + p.b
-            if g <= 0.0:
-                raise NonpositiveRho(g)
-            return g ** inv_n
-
+    a, b = p.a, p.b
+    inv_n = 1.0 / p.n
     du = u_total / steps
+    half_du = 0.5 * du
     us = [i * du for i in range(steps + 1)]
     us[-1] = u_total
     Ls = [0.0]
+    slopes = []
     L = 0.0
     k = 0
+    # the right-hand side dL/du = (a L + b)^(1/n) is written out at each
+    # stage, and k1 is the slope at the start of step k; for n = 1 the slope
+    # is a L + b itself, which is never rejected.  "not abs(L) <= limit"
+    # also holds for an L that is infinite or NaN
     try:
-        # the start slope b^(1/n) can itself overflow
-        slopes = [rhs(0.0)]
-        for k in range(steps):
-            k1 = slopes[-1]
-            k2 = rhs(L + 0.5 * du * k1)
-            k3 = rhs(L + 0.5 * du * k2)
-            k4 = rhs(L + du * k3)
-            L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not math.isfinite(L) or abs(L) > _BLOWUP_LIMIT:
-                raise OverflowError
-            slopes.append(rhs(L))
-            Ls.append(L)
+        if p.is_class_one:
+            k1 = a * 0.0 + b
+            slopes.append(k1)
+            for k in range(steps):
+                k2 = a * (L + half_du * k1) + b
+                k3 = a * (L + half_du * k2) + b
+                k4 = a * (L + du * k3) + b
+                L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                if not abs(L) <= _BLOWUP_LIMIT:
+                    raise OverflowError
+                k1 = a * L + b
+                slopes.append(k1)
+                Ls.append(L)
+        else:
+            g = a * 0.0 + b
+            if g <= 0.0:
+                raise NonpositiveRho(g)
+            k1 = g ** inv_n  # the start slope b^(1/n) can itself overflow
+            slopes.append(k1)
+            for k in range(steps):
+                g = a * (L + half_du * k1) + b
+                if g <= 0.0:
+                    raise NonpositiveRho(g)
+                k2 = g ** inv_n
+                g = a * (L + half_du * k2) + b
+                if g <= 0.0:
+                    raise NonpositiveRho(g)
+                k3 = g ** inv_n
+                g = a * (L + du * k3) + b
+                if g <= 0.0:
+                    raise NonpositiveRho(g)
+                k4 = g ** inv_n
+                L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                if not abs(L) <= _BLOWUP_LIMIT:
+                    raise OverflowError
+                g = a * L + b
+                if g <= 0.0:
+                    raise NonpositiveRho(g)
+                k1 = g ** inv_n
+                slopes.append(k1)
+                Ls.append(L)
     except (OverflowError, NonpositiveRho):
         raise OdeBlowUp(_theta_of_turn(p, us[k]), Ls[-1]) from None
     return _DenseOde(p, us, Ls, slopes)
 
 
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(NamedTuple):
     theta: float
     kappa_numeric: float
     rho_numeric: float
@@ -235,15 +273,13 @@ class OracleRow:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ResidualSummary:
+class ResidualSummary(NamedTuple):
     max: float
     rms: float
     count: int
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     rows: list[OracleRow]
     rho_residual: ResidualSummary       # |rho_numeric - rho_closed| / |rho_closed|
     phi_residual: ResidualSummary       # angular distance mod pi, absolute
@@ -340,17 +376,7 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
         if degenerate:
             degenerate_count += 1
         rows.append(
-            OracleRow(
-                theta=theta,
-                kappa_numeric=kappa,
-                rho_numeric=rho_num,
-                s_numeric=s_cum[i],
-                phi_actual=phi_act,
-                L_closed=c.L,
-                rho_closed=c.rho,
-                phi_prescribed=phi_presc,
-                degenerate=degenerate,
-            )
+            OracleRow(theta, kappa, rho_num, s_cum[i], phi_act, c.L, c.rho, phi_presc, degenerate)
         )
         # the re-integrated L needs only the closed-form row, not the trace,
         # so it stays measurable even when the numeric columns are not

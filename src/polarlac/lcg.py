@@ -14,7 +14,7 @@ experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import curve as _curve
 from .curve import CurveParams, DomainExceeded
@@ -30,14 +30,12 @@ class DegenerateFit(ValueError):
     """All abscissae coincide; a slope is meaningless."""
 
 
-@dataclass(frozen=True)
-class LcgPoint:
+class LcgPoint(NamedTuple):
     x: float  # log rho
     y: float  # log |dL/d log rho|
 
 
-@dataclass(frozen=True)
-class LcgLine:
+class LcgLine(NamedTuple):
     slope: float
     intercept: float
     r_squared: float

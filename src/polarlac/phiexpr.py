@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln")
 
@@ -88,8 +88,7 @@ class Call:
 Node = Num | Var | Pi | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
-class PhiValue:
+class PhiValue(NamedTuple):
     phi: float
     dphi_dtheta: float
 
@@ -525,8 +524,9 @@ class PhiFunction:
 
     def eval_with_derivative(self, theta: float) -> PhiValue:
         v, d = self._dual(theta)
-        _check_finite(v, self.ast)
-        _check_finite(d, self.ast, "derivative")
+        if not (math.isfinite(v) and math.isfinite(d)):
+            _check_finite(v, self.ast)
+            _check_finite(d, self.ast, "derivative")
         return PhiValue(v, d)
 
     def serialize(self) -> str:

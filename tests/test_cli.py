@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import os
 import random
 import re
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import sys
 import jsonschema
 import pytest
 
-from polarlac import CurveParams, arc_length, cli, curve, parse, radius_at, radius_of_curvature
+from polarlac import CurveParams, arc_length, cli, curve, diffgeo, parse, radius_at, radius_of_curvature
 from polarlac.cli import main
 from polarlac.svgplot import render_polyline
 from conftest import load_schema
@@ -365,6 +368,79 @@ def polyline_points(svg_text):
     match = re.search(r'<polyline[^>]* points="([^"]*)"', svg_text)
     assert match is not None
     return match.group(1).split(" ")
+
+
+def test_unbounded_quadrature_input_ends_in_exit_5(tmp_path, monkeypatch):
+    # two 5e5-radian segments of an oscillating R: each stops at the Simpson
+    # evaluation budget, every row turns degenerate, and the graph has no
+    # points left to fit
+    calls = []
+    radius = curve.radius_at
+
+    def counting(p, theta):
+        calls.append(theta)
+        return radius(p, theta)
+
+    monkeypatch.setattr(curve, "radius_at", counting)
+    argv = ["--n", "2", "--b", "2", "--theta1", "1e6", "--phi", "sin(theta)", "--samples", "3"]
+    assert run(argv, tmp_path, sub="lcg") == 5
+    # three R calls per integrand evaluation, plus the stencils of 3 rows
+    assert len(calls) <= 2 * 3 * diffgeo._SIMPSON_MAX_EVALS + 3 * 3
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_honour_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run(FIG4, tmp_path, extra=("--samples", "4")) == 0
+    finally:
+        os.umask(old)
+    for name in ("samples.csv", "samples.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+# sha256 of every file verify and lcg write at 256 samples, recorded with
+# the closed forms evaluated term by term per call and the oracle's RK4 and
+# Simpson steps as separate calls (CPython 3.11, glibc, x86-64 Linux).
+# Compiling the forms once per curve and inlining those steps must not move
+# a byte; a libm whose sin, exp or pow round differently will.
+RECORDED_DIGESTS = [
+    (
+        ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
+        {
+            "verify.json": "ca7b871de678bc748cc7bfb0d29c7efba0d4daf25e45f377df62983bde04e511",
+            "lcg_closed.csv": "1d4b33710dffc9b351d78a8a6c65ea29b5dc99733545881f42eea59dff5907a0",
+            "lcg_fit.json": "eacf0e3c0bb2837a65d17129b4ea7cdcc0bfcf74f9d9e7babb779c2ed3ae3c17",
+            "lcg_numeric.csv": "c66a69a725895d751b00ec161054cae7a20eda2d1f2c1e629215c26fb6a81696",
+        },
+    ),
+    (
+        ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
+        {
+            "verify.json": "e70bc5e3590a84e0321a80a9db775bb8b32a53c9ee1494a42fe1c67817fcc6c9",
+            "lcg_closed.csv": "25d886e7d0cf3fcfdea97cca53065da668f6eaed7ecbba420a0b3328bf9636e0",
+            "lcg_fit.json": "498a099937d81af85d5833c5286044d7d90dc8a7bdc7e868825f3872afc8cc0d",
+            "lcg_numeric.csv": "dec770de29b4ac0054eb2c6a7f46fb1a8e522492b723168a40b02efb587e1cd9",
+        },
+    ),
+    (
+        ["--n", "-2", "--theta0", "0.1", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"],
+        {
+            "verify.json": "d537f9fb51332352390eb76394fd462534897b37065f6af17dcbfc433f09a650",
+            "lcg_closed.csv": "1cc014b03220e443da8fb9492587472ba045f060aca402bac65a5221833f6a7c",
+            "lcg_fit.json": "d1eb9648a18b72906500a20d5b424d93bf268482331ed86a940c97356e4c207a",
+            "lcg_numeric.csv": "7e13416d3d95ad23d61b8aa9b4d361fd46f299780e7dec7ad7374cd619300146",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("sub", ["verify", "lcg"])
+@pytest.mark.parametrize("config,digests", RECORDED_DIGESTS, ids=["n=1", "n=2", "n=-2"])
+def test_outputs_match_recorded_digests(tmp_path, sub, config, digests):
+    assert run(config, tmp_path, sub=sub, extra=("--samples", "256")) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == {k: v for k, v in digests.items() if k.startswith(sub)}
 
 
 class TestSvgCommand:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import struct
 
 import pytest
 
@@ -16,6 +17,7 @@ from polarlac import (
     validate,
 )
 from polarlac import curve
+from polarlac.phiexpr import EvalDomainError
 from conftest import params
 
 
@@ -335,3 +337,168 @@ class TestMonotonicity:
         assert len(rows) >= 255
         for prev, cur in zip(rows, rows[1:]):
             assert cur.L > prev.L
+
+
+# The closed forms of the module docstring, written out term by term as the
+# formulas read, with the family picked per call.  The compiled kernel must
+# agree with them bit for bit, and raise the same exceptions.
+
+
+def _ref_class_one(p):
+    return abs(p.n - 1.0) <= curve.CLASS_ONE_TOL
+
+
+def _ref_base(p, u):
+    return (p.a * (p.n - 1.0) * u + p.n * p.b ** (1.0 - 1.0 / p.n)) / p.n
+
+
+def _ref_L(p, theta, u):
+    if u == 0.0:
+        return 0.0
+    if _ref_class_one(p):
+        return (p.b / p.a) * math.expm1(p.a * u)
+    A = _ref_base(p, u)
+    if A <= 0.0:
+        raise DomainExceeded(p, theta)
+    return (A ** (p.n / (p.n - 1.0)) - p.b) / p.a
+
+
+def _ref_rho(p, L):
+    g = p.a * L + p.b
+    if g <= 0.0:
+        raise NonpositiveRho(g)
+    return g if _ref_class_one(p) else g ** (1.0 / p.n)
+
+
+def _ref_arc_length(p, theta):
+    return _ref_L(p, theta, (theta - p.theta0) + (p.phi.value(theta) - p.phi0))
+
+
+def _ref_point(p, theta):
+    try:
+        pv = p.phi.eval_with_derivative(theta)
+    except EvalDomainError:
+        _ref_arc_length(p, theta)  # a domain exit is reported first
+        raise
+    L = _ref_L(p, theta, (theta - p.theta0) + (pv.phi - p.phi0))
+    return L, _ref_rho(p, L), pv.phi, pv.dphi_dtheta
+
+
+def _ref_radius_at(p, theta):
+    _, rho, phi, dphi = _ref_point(p, theta)
+    return rho * (1.0 + dphi) * math.sin(phi)
+
+
+def _ref_sample_row(p, theta):
+    try:
+        L, rho, phi, dphi = _ref_point(p, theta)
+    except (DomainExceeded, NonpositiveRho, EvalDomainError, OverflowError):
+        return (theta,) + (math.nan,) * 8 + ((False,) * 4,)
+    monotone = 1.0 + dphi
+    R = rho * monotone * math.sin(phi)
+    flags = (rho > 0.0, R > 0.0, monotone > 0.0, True)
+    return (theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), flags)
+
+
+def _ref_boundary(p, theta_bad):
+    good, bad = p.theta0, theta_bad
+    while abs(bad - good) > 1e-12:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        try:
+            positive = _ref_base(p, (mid - p.theta0) + (p.phi.value(mid) - p.phi0)) > 0.0
+        except EvalDomainError:
+            positive = False
+        if positive:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _bits(value):
+    # floats by their bit pattern, so -0.0 and NaN payloads count
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        if isinstance(exc, DomainExceeded):
+            return type(exc), exc.theta, _bits(exc.theta_max), str(exc)
+        return type(exc), str(exc)
+
+
+KERNEL_CONFIGS = [
+    # (n, a, b, theta0, theta1, phi, probe angles beyond the grid)
+    (1.0, 1.0, 1.0, 0.0, 15.0, "pi/2", ()),
+    (1.0 + 1e-10, 0.37, 1.3, 0.0, 15.0, "0.01*theta + 0.3", ()),
+    (1.0 - 1e-10, 0.37, 1.3, 0.0, 15.0, "0.01*theta + 0.3", ()),
+    (1.0 + 1e-6, 0.37, 1.3, 0.0, 15.0, "0.01*theta + 0.3", ()),
+    (1.0, -0.7, 2.1, 0.0, 400.0, "theta", ()),
+    (2.0, 1.0, 1.0, 0.0, 5.0, "pi/8", ()),
+    (-2.0, 1.0, 1.0, 0.1, 5.0, "sqrt(theta) + 0.6", (0.0,)),
+    (2.0, 1.0, 1.0, 0.0, 5.0, "sqrt(theta) + 0.6", (0.0,)),
+    # theta = 0 is outside the domain and sqrt has no derivative there:
+    # the domain exit must be the error reported
+    (2.0, 1.0, 1.0, 4.0, 5.0, "sqrt(theta)", (0.0,)),
+    (1.7, 0.37, 3.1, -1.0, 6.0, "0.2*theta + pi/24", ()),
+    (-0.7, 1.3, 0.5, 0.0, 6.0, "0.2*theta + pi/24", ()),
+    (3.0, 2.9, 0.8, 0.0, 4.0, "cos(theta)/3 + 1", ()),
+    # domain exits with a < 0
+    (2.0, -1.0, 1.0, 0.0, 5.0, "pi/8", ()),
+    (-1.0, -1.0, 1.0, 0.0, 5.0, "pi/2", ()),
+    (0.5, -0.37, 1.3, 0.0, 5.0, "0.01*theta + 0.3", ()),
+    (2.5, -0.8, 3.1, 0.0, 6.0, "sin(theta) + 1", ()),
+    # b^(1 - 1/n) at the ends of the float range; at n = -0.5 and b = 1e300
+    # it overflows, which arc_length must raise and construction must not
+    (0.5, 1.0, 1e300, 0.0, 1.0, "theta", ()),
+    (0.5, 1.0, 1e-300, 0.0, 1.0, "theta", ()),
+    (-0.5, 1.0, 1e300, 0.0, 1.0, "theta", ()),
+    (-0.5, 1.0, 1e-300, 0.0, 1.0, "theta", ()),
+]
+
+
+@pytest.mark.parametrize("n,a,b,theta0,theta1,phi,extra", KERNEL_CONFIGS)
+def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, extra):
+    p = params(n, a=a, b=b, theta0=theta0, theta1=theta1, phi=phi)
+    count = 41
+    span = theta1 - theta0
+    # the grid, and as far again on either side of it
+    probes = [theta0 + (i - count) * span / (count - 1) for i in range(3 * count - 1)]
+    for theta in [*probes, *extra]:
+        assert _outcome(arc_length, p, theta) == _outcome(_ref_arc_length, p, theta), theta
+        assert _outcome(radius_at, p, theta) == _outcome(_ref_radius_at, p, theta), theta
+    for r in sample(p, count):
+        v = r.valid
+        flags = (v.rho_positive, v.radius_positive, v.monotone_factor_positive, v.in_domain)
+        row = (r.theta, r.L, r.R, r.rho, r.phi, r.dphi, r.beta, r.x, r.y, flags)
+        assert _bits(row) == _bits(_ref_sample_row(p, r.theta))
+    for L in (-2.0 * b / a, -b / a, 0.0, 0.5, 1e3):
+        assert _outcome(radius_of_curvature, p, L) == _outcome(_ref_rho, p, L), L
+
+
+@pytest.mark.parametrize("n,theta1,theta", [(-1.0, 15.0, -0.6), (0.5, 2.0, 1.5), (2.0, 5.0, 3.0)])
+def test_domain_boundary_matches_the_reference_bisection(n, theta1, theta):
+    a = -1.0 if n == 2.0 else 1.0
+    p = params(n, a=a, theta1=theta1, phi="pi/8" if n == 2.0 else "pi/2")
+    assert curve._domain_boundary(p, theta) == _ref_boundary(p, theta)
+
+
+def test_pickle_round_trip_after_the_kernel_ran():
+    p = params(-1.0)
+    r = radius_at(p, 4.0)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p
+    assert radius_at(copy, 4.0) == r
+    with pytest.raises(DomainExceeded) as exc:
+        arc_length(p, -0.6)
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert again.args[0] == p
+    assert (again.theta, again.theta_max, str(again)) == (-0.6, exc.value.theta_max, str(exc.value))

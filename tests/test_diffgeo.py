@@ -12,8 +12,8 @@ from polarlac import (
     ode_arc_length,
     radius_at,
 )
-from polarlac import curve
-from polarlac.diffgeo import DegeneratePoint
+from polarlac import curve, diffgeo
+from polarlac.diffgeo import DegeneratePoint, ToleranceNotMet
 from polarlac.phiexpr import PhiFunction
 from conftest import params
 
@@ -225,3 +225,33 @@ class TestCompare:
         assert mid.L_closed == arc_length(fig4, mid.theta)
         assert mid.phi_prescribed == math.pi / 2
         assert mid.rho_closed == pytest.approx(mid.L_closed + 1.0, rel=1e-15)
+
+
+class TestSimpsonBudget:
+    def test_oscillating_segment_stops_at_the_budget(self):
+        # a smooth R that oscillates over 1e6 radians: without a budget the
+        # quadrature would split the segment into about a million pieces
+        calls = []
+
+        def R(t):
+            calls.append(t)
+            return 2.0 + math.sin(t)
+
+        with pytest.raises(ToleranceNotMet, match="budget of 4096 integrand evaluations"):
+            numeric_arc_length(R, 0.0, 1e6)
+        assert len(calls) == 3 * diffgeo._SIMPSON_MAX_EVALS
+
+    def test_a_whole_figure_range_fits_in_the_budget(self, fig7):
+        # one segment over all of [0, 15] takes 1345 integrand evaluations,
+        # a third of the budget, and agrees with the sum over a fine grid
+        calls = []
+
+        def R(t):
+            calls.append(t)
+            return radius_at(fig7, t)
+
+        whole = numeric_arc_length(R, 0.0, 15.0)
+        assert len(calls) == 3 * 1345
+        grid = [15.0 * i / 64 for i in range(65)]
+        pieces = math.fsum(numeric_arc_length(R, s, t) for s, t in zip(grid, grid[1:]))
+        assert whole == pytest.approx(pieces, rel=1e-9)
