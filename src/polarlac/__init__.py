@@ -10,6 +10,7 @@ from .curve import (
     CurveParams,
     CurveSample,
     DomainExceeded,
+    InvalidParameters,
     NonpositiveRho,
     ValidationReport,
     arc_length,
@@ -53,6 +54,7 @@ __all__ = [
     "DegenerateFit",
     "DomainExceeded",
     "EvalDomainError",
+    "InvalidParameters",
     "LcgLine",
     "LcgPoint",
     "NonpositiveRho",

@@ -7,9 +7,16 @@ checks, and ``svg`` writes simple line plots.  Flags override values from
 a ``--config`` JSON file, which overrides the defaults a=1, b=1, theta0=0,
 samples=512.
 
-Exit codes: 0 success, 1 verification failed, 2 invalid configuration,
-3 expression parse error, 4 I/O failure, 5 degenerate logarithmic
-curvature graph.
+Exit codes: 0 success, 1 verification failed, 2 invalid configuration
+(including a curve the closed forms or the oracle cannot evaluate), 3
+expression parse error, 4 I/O failure, 5 degenerate logarithmic curvature
+graph or a plot with no finite point.
+
+Errors are decided at two levels.  A row that raises a row error
+(``curve.ROW_ERRORS``) is flagged or skipped by the library.  An error that
+escapes a subcommand ends the run: ``main`` looks its class up in one table,
+``_EXITS``, for the exit code and the message prefix.  ``CliError`` carries
+its own code, for what this module detects itself.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ def _load_config_file(path: str) -> dict:
         raise CliError(EXIT_IO, f"cannot read config file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(EXIT_CONFIG, f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(EXIT_CONFIG, "config file must hold a JSON object")
@@ -167,14 +174,7 @@ def _merge_config(args: argparse.Namespace, usage: str) -> RunConfig:
 
 
 def _build_params(cfg: RunConfig) -> _curve.CurveParams:
-    try:
-        phi = parse(cfg.phi)
-    except ParseError as exc:
-        raise CliError(EXIT_PARSE, f"cannot parse phi expression: {exc}") from exc
-    try:
-        return _curve.CurveParams(cfg.n, cfg.a, cfg.b, cfg.theta0, cfg.theta1, phi)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"invalid parameters: {exc}") from exc
+    return _curve.CurveParams(cfg.n, cfg.a, cfg.b, cfg.theta0, cfg.theta1, parse(cfg.phi))
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
@@ -230,22 +230,6 @@ def _params_echo(cfg: RunConfig) -> dict:
     }
 
 
-def _sample_rows(params: _curve.CurveParams, count: int) -> list[_curve.CurveSample]:
-    try:
-        return _curve.sample(params, count)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
-
-
-def _oracle(params: _curve.CurveParams, count: int) -> _diffgeo.OracleReport:
-    # the oracle rejects a curve it cannot re-integrate: a tangent turn that
-    # never increases, or an arc length that blows up
-    try:
-        return _diffgeo.compare(params, count)
-    except (ValueError, _diffgeo.OdeBlowUp) as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
-
-
 # One row of samples.csv / samples.json per format operation.  The JSON
 # template is what json.dumps(indent=2, sort_keys=True) writes for a row dict
 # after _json_safe; _json_number is its encoding of one float.
@@ -269,7 +253,7 @@ def _json_number(v: float) -> str:
 
 def cmd_sample(cfg: RunConfig) -> int:
     params = _build_params(cfg)
-    rows = _sample_rows(params, cfg.samples)
+    rows = _curve.sample(params, cfg.samples)
     csv_lines = ["theta,L,R,rho,phi,beta,x,y,in_domain"]
     json_rows = []
     for r in rows:
@@ -316,13 +300,10 @@ def _points_csv(points: list[_lcg.LcgPoint]) -> str:
 def cmd_lcg(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     closed_points = _lcg.lcg_closed_form(params, cfg.samples)
-    report = _oracle(params, cfg.samples)
-    try:
-        numeric_points = _lcg.lcg_numeric(report)
-        closed_fit = _lcg.linear_fit(closed_points)
-        numeric_fit = _lcg.linear_fit(numeric_points)
-    except (_lcg.TooFewPoints, _lcg.DegenerateFit, ValueError) as exc:
-        raise CliError(EXIT_DEGENERATE, f"logarithmic curvature graph degenerated: {exc}") from exc
+    report = _diffgeo.compare(params, cfg.samples)
+    numeric_points = _lcg.lcg_numeric(report)
+    closed_fit = _lcg.linear_fit(closed_points)
+    numeric_fit = _lcg.linear_fit(numeric_points)
     _write_atomic(cfg.out_dir, "lcg_closed.csv", _points_csv(closed_points))
     _write_atomic(cfg.out_dir, "lcg_numeric.csv", _points_csv(numeric_points))
     payload = {
@@ -350,12 +331,8 @@ def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = _build_params(cfg)
-    report = _oracle(params, cfg.samples)
-    closed_points = _lcg.lcg_closed_form(params, cfg.samples)
-    try:
-        closed_fit = _lcg.linear_fit(closed_points)
-    except (_lcg.TooFewPoints, _lcg.DegenerateFit, ValueError) as exc:
-        raise CliError(EXIT_DEGENERATE, f"logarithmic curvature graph degenerated: {exc}") from exc
+    report = _diffgeo.compare(params, cfg.samples)
+    closed_fit = _lcg.linear_fit(_lcg.lcg_closed_form(params, cfg.samples))
     expected_intercept = math.log(abs(params.n / params.a))
 
     checks = []
@@ -391,7 +368,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             ok = abs(numeric_fit.slope - 1.0) <= 1e-3 and numeric_fit.r_squared >= 0.999999
             check("compatible_numeric_lcg", abs(numeric_fit.slope - 1.0), 1e-3, True, ok)
             hard_ok = hard_ok and ok
-    except (_lcg.TooFewPoints, _lcg.DegenerateFit, ValueError) as exc:
+    except _curve.ROW_ERRORS as exc:
         notes.append(f"numeric logarithmic curvature graph not measurable: {exc}")
 
     if report.phi_residual.count > 0 and report.phi_residual.max > 1e-3:
@@ -420,25 +397,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_svg(cfg: RunConfig) -> int:
     params = _build_params(cfg)
-    rows = _sample_rows(params, cfg.samples)
-    good = [r for r in rows if r.valid.in_domain]
+    good = [r for r in _curve.sample(params, cfg.samples) if r.valid.in_domain]
     if not good:
         raise CliError(EXIT_CONFIG, "all samples are outside the curve domain; nothing to plot")
     if "svg-curve" in cfg.outputs:
-        _write_atomic(cfg.out_dir, "curve.svg", _svgplot.render_polyline([(r.x, r.y) for r in good]))
+        text = _svgplot.render_polyline([(r.x, r.y) for r in good], "curve")
+        _write_atomic(cfg.out_dir, "curve.svg", text)
     if "svg-rho" in cfg.outputs:
-        _write_atomic(cfg.out_dir, "rho.svg", _svgplot.render_polyline([(r.theta, r.rho) for r in good]))
+        text = _svgplot.render_polyline([(r.theta, r.rho) for r in good], "radius of curvature")
+        _write_atomic(cfg.out_dir, "rho.svg", text)
     if "svg-lcg" in cfg.outputs:
         points = _lcg.lcg_closed_form(params, cfg.samples)
-        try:
-            text = _svgplot.render_polyline([(pt.x, pt.y) for pt in points])
-        except ValueError as exc:
-            raise CliError(EXIT_DEGENERATE, f"logarithmic curvature graph degenerated: {exc}") from exc
+        text = _svgplot.render_polyline([(pt.x, pt.y) for pt in points], "logarithmic curvature graph")
         _write_atomic(cfg.out_dir, "lcg.svg", text)
     return 0
 
 
 _COMMANDS = {"sample": cmd_sample, "lcg": cmd_lcg, "verify": cmd_verify, "svg": cmd_svg}
+
+# The exit code and message prefix of each error that escapes a subcommand;
+# the first row whose classes match wins.  Every class here is a row error,
+# so the last row catches whatever the library raised for a point it could
+# not evaluate.
+_EXITS = (
+    (ParseError, EXIT_PARSE, "cannot parse phi expression: "),
+    (_curve.InvalidParameters, EXIT_CONFIG, "invalid parameters: "),
+    ((_lcg.TooFewPoints, _lcg.DegenerateFit), EXIT_DEGENERATE, "logarithmic curvature graph degenerated: "),
+    (_svgplot.NothingToPlot, EXIT_DEGENERATE, ""),
+    (_curve.ROW_ERRORS, EXIT_CONFIG, ""),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,8 +439,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args, usage)
         return _COMMANDS[args.command](cfg)
     except CliError as exc:
-        _diagnose(str(exc))
-        return exc.code
+        code, message = exc.code, str(exc)
+    except _curve.ROW_ERRORS as exc:
+        code, prefix = next((c, pre) for cls, c, pre in _EXITS if isinstance(exc, cls))
+        message = prefix + str(exc)
+    _diagnose(message)
+    return code
 
 
 def main_entry() -> None:

@@ -35,6 +35,15 @@ CLASS_ONE_TOL = 1e-9
 _BISECT_TOL = 1e-12
 _GRID = 1024
 
+# every error raised for a point that cannot be evaluated is one of these:
+# a row that raises one is flagged or skipped, and a run that lets one
+# escape ends in an exit code, never a traceback
+ROW_ERRORS = (ValueError, ArithmeticError)
+
+
+class InvalidParameters(ValueError):
+    """CurveParams rejected its own fields."""
+
 
 class DomainExceeded(ValueError):
     """A(theta) <= 0: the curve is not defined this far.
@@ -83,21 +92,21 @@ class CurveParams:
         for name in ("n", "a", "b", "theta0", "theta1"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+                raise InvalidParameters(f"{name} must be a finite number, got {v!r}")
         if self.n == 0:
-            raise ValueError("n must be nonzero")
+            raise InvalidParameters("n must be nonzero")
         if self.a == 0:
-            raise ValueError("a must be nonzero")
+            raise InvalidParameters("a must be nonzero")
         if self.b <= 0:
-            raise ValueError("b must be positive")
+            raise InvalidParameters("b must be positive")
         if not self.theta1 > self.theta0:
-            raise ValueError("theta1 must exceed theta0")
+            raise InvalidParameters("theta1 must exceed theta0")
         try:
             phi0 = self.phi.value(self.theta0)
         except EvalDomainError as exc:
-            raise ValueError(f"phi is not evaluable at theta0: {exc}") from exc
+            raise InvalidParameters(f"phi is not evaluable at theta0: {exc}") from exc
         if not math.isfinite(phi0):
-            raise ValueError("phi(theta0) is not finite")
+            raise InvalidParameters("phi(theta0) is not finite")
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "_kernel", _compile(self))
 
@@ -260,6 +269,8 @@ def radius_at(p: CurveParams, theta: float) -> float:
 
 
 def _grid(p: CurveParams, count: int) -> list[float]:
+    if count < 2:
+        raise ValueError("count must be at least 2")
     span = p.theta1 - p.theta0
     last = count - 1
     thetas = [p.theta0 + i * span / last for i in range(count)]
@@ -278,7 +289,7 @@ def _invalid_sample(theta: float) -> CurveSample:
 def _sample_at(p: CurveParams, theta: float) -> CurveSample:
     try:
         L, rho, phi, dphi = p._kernel.point(theta)
-    except (DomainExceeded, NonpositiveRho, EvalDomainError, OverflowError):
+    except ROW_ERRORS:
         return _invalid_sample(theta)
     monotone = 1.0 + dphi
     R = rho * monotone * math.sin(phi)
@@ -293,8 +304,6 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     (including float overflow), come back flagged in_domain=False instead
     of aborting the batch.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
     return [_sample_at(p, t) for t in _grid(p, count)]
 
 

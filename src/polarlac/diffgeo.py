@@ -13,8 +13,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import curve as _curve
-from .curve import CurveParams, DomainExceeded, NonpositiveRho, turn_angle
-from .phiexpr import EvalDomainError
+from .curve import ROW_ERRORS, CurveParams, NonpositiveRho, turn_angle
 
 _DEGENERATE_FLOOR = 1e-24
 _SIMPSON_TOL = 1e-10
@@ -288,17 +287,6 @@ class OracleReport(NamedTuple):
     degenerate_rows: int
 
 
-_EVAL_ERRORS = (
-    DegeneratePoint,
-    EvalDomainError,
-    DomainExceeded,
-    NonpositiveRho,
-    ToleranceNotMet,
-    OverflowError,
-    ZeroDivisionError,
-)
-
-
 def _summary(values: list[float]) -> ResidualSummary:
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
@@ -339,7 +327,7 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
     for i in range(1, len(thetas)):
         try:
             seg[i] = numeric_arc_length(R, thetas[i - 1], thetas[i])
-        except _EVAL_ERRORS:
+        except ROW_ERRORS:
             seg[i] = math.nan
     s_cum = [0.0] * len(thetas)
     for i in range(1, len(thetas)):
@@ -358,13 +346,13 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
             kappa = numeric_curvature(R, theta)
             phi_act = numeric_phi(R, theta)
             rho_num = 1.0 / kappa if kappa != 0.0 else math.nan
-        except _EVAL_ERRORS:
+        except ROW_ERRORS:
             kappa = math.nan
             phi_act = math.nan
             rho_num = math.nan
         try:
             phi_presc = p.phi.value(theta)
-        except EvalDomainError:
+        except ROW_ERRORS:
             phi_presc = math.nan
 
         degenerate = not (
@@ -383,7 +371,7 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
         if c.valid.in_domain:
             try:
                 ode_res.append(abs(ode(theta) - c.L) / max(abs(c.L), 1e-12))
-            except ValueError:
+            except ROW_ERRORS:
                 pass
         if degenerate:
             continue

@@ -17,9 +17,8 @@ import math
 from typing import NamedTuple
 
 from . import curve as _curve
-from .curve import CurveParams, DomainExceeded
+from .curve import ROW_ERRORS, CurveParams
 from .diffgeo import OracleReport
-from .phiexpr import EvalDomainError
 
 
 class TooFewPoints(ValueError):
@@ -43,24 +42,20 @@ class LcgLine(NamedTuple):
 
 
 def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
-    """Graph points from the model: (ln rho, ln|n/a| + ln(aL + b)) on a
-    uniform theta grid, skipping any rows past the domain boundary or where
-    rho overflows or underflows."""
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    span = p.theta1 - p.theta0
+    """Graph points from the model: (ln rho, ln|n/a| + ln(aL + b)) on the
+    sampling grid, skipping every row that raises a row error: past the
+    domain boundary, rho or a logarithm out of range, phi not evaluable."""
     scale = abs(p.n / p.a)
     points = []
-    for i in range(count):
-        theta = p.theta1 if i == count - 1 else p.theta0 + i * span / (count - 1)
+    for theta in _curve._grid(p, count):
         try:
             L = _curve.arc_length(p, theta)
             rho = _curve.radius_of_curvature(p, L)
-        except (DomainExceeded, EvalDomainError, OverflowError):
+            if not rho > 0.0:  # 0 or NaN, and math.log(NaN) does not raise
+                continue
+            points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
+        except ROW_ERRORS:
             continue
-        if not rho > 0.0:  # rho underflowed; it has no logarithm
-            continue
-        points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
     return points
 
 
@@ -72,7 +67,7 @@ def lcg_numeric(report: OracleReport) -> list[LcgPoint]:
     """
     rows = report.rows
     if len(rows) < 5:
-        raise ValueError("need at least 5 oracle rows")
+        raise TooFewPoints("need at least 5 oracle rows")
     usable = []
     for r in rows:
         ok = (
@@ -110,7 +105,7 @@ def linear_fit(points: list[LcgPoint]) -> LcgLine:
     """
     count = len(points)
     if count < 2:
-        raise ValueError("need at least 2 points")
+        raise TooFewPoints("need at least 2 points")
     mean_x = math.fsum(pt.x for pt in points) / count
     mean_y = math.fsum(pt.y for pt in points) / count
     sxx = math.fsum((pt.x - mean_x) ** 2 for pt in points)

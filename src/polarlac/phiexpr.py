@@ -541,9 +541,13 @@ def parse(source: str) -> PhiFunction:
     for evaluation with its theta-free subexpressions folded to constants.
 
     Raises ParseError (with a character offset), UnknownIdentifier, or
-    EmptyExpression.
+    EmptyExpression.  An expression nested deeper than the interpreter's
+    recursion limit allows to parse and compile is a ParseError at offset 0.
     """
-    return PhiFunction(source, _Parser(source).parse())
+    try:
+        return PhiFunction(source, _Parser(source).parse())
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 def depends_on_theta(node: Node) -> bool:

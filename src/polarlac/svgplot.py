@@ -15,6 +15,10 @@ _HEIGHT = 480
 _MARGIN_FRACTION = 0.05
 
 
+class NothingToPlot(ValueError):
+    """No finite point defines a view."""
+
+
 def _fmt(v: float) -> str:
     s = f"{v:.6f}"
     return "0.000000" if s == "-0.000000" else s
@@ -29,12 +33,12 @@ def _padded_range(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_polyline(points: list[tuple[float, float]]) -> str:
-    """Render finite points as one polyline; raises ValueError when no
-    finite point is available to define a view."""
+def render_polyline(points: list[tuple[float, float]], subject: str = "plot") -> str:
+    """Render finite points as one polyline; raises NothingToPlot, naming
+    the ``subject``, when no finite point is available to define a view."""
     finite = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
     if not finite:
-        raise ValueError("no finite points to plot")
+        raise NothingToPlot(f"{subject} degenerated: no finite points to plot")
     x0, x1 = _padded_range(min(x for x, _ in finite), max(x for x, _ in finite))
     y0, y1 = _padded_range(min(y for _, y in finite), max(y for _, y in finite))
 

@@ -23,33 +23,33 @@ from conftest import params
 
 class TestCurveParams:
     def test_rejects_zero_n(self):
-        with pytest.raises(ValueError, match="n"):
+        with pytest.raises(curve.InvalidParameters, match="n"):
             params(0.0)
 
     def test_rejects_zero_a(self):
-        with pytest.raises(ValueError, match="a"):
+        with pytest.raises(curve.InvalidParameters, match="a"):
             params(1.0, a=0.0)
 
     def test_rejects_nonpositive_b(self):
-        with pytest.raises(ValueError, match="b"):
+        with pytest.raises(curve.InvalidParameters, match="b"):
             params(1.0, b=0.0)
-        with pytest.raises(ValueError, match="b"):
+        with pytest.raises(curve.InvalidParameters, match="b"):
             params(1.0, b=-1.0)
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError, match="theta1"):
+        with pytest.raises(curve.InvalidParameters, match="theta1"):
             params(1.0, theta0=2.0, theta1=2.0)
-        with pytest.raises(ValueError, match="theta1"):
+        with pytest.raises(curve.InvalidParameters, match="theta1"):
             params(1.0, theta0=2.0, theta1=1.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(curve.InvalidParameters):
             params(math.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(curve.InvalidParameters):
             params(1.0, theta1=math.inf)
 
     def test_rejects_phi_unevaluable_at_start(self):
-        with pytest.raises(ValueError, match="phi"):
+        with pytest.raises(curve.InvalidParameters, match="phi"):
             params(1.0, phi="ln(theta)")  # theta0 = 0
 
     def test_phi0_cached(self):
@@ -229,6 +229,18 @@ class TestSample:
     def test_count_too_small(self, fig4):
         with pytest.raises(ValueError):
             sample(fig4, 1)
+
+    def test_row_errors_cover_every_library_error(self):
+        # a row flags on any of them, and the CLI maps each to an exit code
+        from polarlac import diffgeo, lcg, phiexpr, svgplot
+
+        classes = [
+            curve.DomainExceeded, curve.NonpositiveRho, curve.InvalidParameters, phiexpr.ParseError,
+            phiexpr.EvalDomainError, diffgeo.DegeneratePoint, diffgeo.ToleranceNotMet, diffgeo.OdeBlowUp,
+            lcg.TooFewPoints, lcg.DegenerateFit, svgplot.NothingToPlot, OverflowError, ZeroDivisionError,
+        ]
+        assert all(issubclass(cls, curve.ROW_ERRORS) for cls in classes)
+        assert not issubclass(TypeError, curve.ROW_ERRORS)
 
 
 class TestValidate:

@@ -46,6 +46,24 @@ class TestLcgClosedForm:
         with pytest.raises(ValueError):
             lcg_closed_form(fig4, 1)
 
+    def test_skips_rows_where_rho_is_not_positive(self):
+        # with 1/n = inf, a*L + b is 0 past theta0, and rho = 0.5^inf is 0 at it
+        p = params(5e-324, a=1e300, b=0.5, theta0=1e-300, theta1=1.0, phi="0.01*theta + 0.3")
+        assert lcg_closed_form(p, 5) == []
+
+    def test_skips_rows_without_a_logarithm(self):
+        # |n/a| * (a*L + b) underflows to 0
+        p = params(1.0000000001, a=1e300, b=1e-300, theta1=1e-300, phi="1/(theta - 1)")
+        assert lcg_closed_form(p, 5) == []
+
+    def test_skips_rows_where_rho_is_nan(self):
+        # a*(n - 1) underflows to 0 and the turn overflows at theta1, so the
+        # power base there is 0 * inf
+        p = params(1.25, a=5e-324, theta0=-1.0, theta1=1.0, phi="1e308*theta")
+        points = lcg_closed_form(p, 5)
+        assert len(points) == 4
+        assert all(pt.x == pt.x for pt in points)
+
 
 def _synthetic_report(rhos, step=0.1):
     rows = []
@@ -80,7 +98,7 @@ class TestLcgNumeric:
             lcg_numeric(_synthetic_report([2.0] * 8))
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPoints, match="5 oracle rows"):
             lcg_numeric(_synthetic_report([1.0, 2.0, 3.0, 4.0]))
 
     def test_degenerate_neighbours_excluded(self, fig7):
@@ -120,7 +138,7 @@ class TestLinearFit:
             linear_fit([LcgPoint(1.0, 5.0), LcgPoint(1.0, 7.0)])
 
     def test_single_point(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPoints, match="2 points"):
             linear_fit([LcgPoint(1.0, 5.0)])
 
     def test_horizontal_data_r_squared_one(self):

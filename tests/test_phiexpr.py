@@ -72,6 +72,12 @@ class TestParse:
             parse("(1 + theta")
         assert exc.value.offset == len("(1 + theta")
 
+    def test_nesting_too_deep_is_a_parse_error(self):
+        for source in ("(" * 2000 + "theta" + ")" * 2000, " + ".join(["theta"] * 5000)):
+            with pytest.raises(ParseError, match="nested too deeply") as exc:
+                parse(source)
+            assert exc.value.offset == 0
+
     def test_trailing_input(self):
         with pytest.raises(ParseError) as exc:
             parse("1 2")
