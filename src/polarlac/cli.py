@@ -282,15 +282,6 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
-def _fit_dict(line: _lcg.LcgLine) -> dict:
-    return {
-        "slope": line.slope,
-        "intercept": line.intercept,
-        "r_squared": line.r_squared,
-        "count": line.count,
-    }
-
-
 def _points_csv(points: list[_lcg.LcgPoint]) -> str:
     lines = ["log_rho,log_dL_dlogrho"]
     lines.extend(f"{_f17(pt.x)},{_f17(pt.y)}" for pt in points)
@@ -309,15 +300,11 @@ def cmd_lcg(cfg: RunConfig) -> int:
     payload = {
         "params": _params_echo(cfg),
         "expected_slope": params.n,
-        "closed_form": _fit_dict(closed_fit),
-        "numeric": _fit_dict(numeric_fit),
+        "closed_form": closed_fit._asdict(),
+        "numeric": numeric_fit._asdict(),
     }
     _write_atomic(cfg.out_dir, "lcg_fit.json", _dump_json(payload))
     return 0
-
-
-def _residual_dict(s: _diffgeo.ResidualSummary) -> dict:
-    return {"max": s.max, "rms": s.rms, "count": s.count}
 
 
 def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
@@ -383,10 +370,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {
         "params": _params_echo(cfg),
         "residuals": {
-            "ode_vs_closed": _residual_dict(report.ode_residual),
-            "rho_numeric_vs_closed": _residual_dict(report.rho_residual),
-            "phi_actual_vs_prescribed": _residual_dict(report.phi_residual),
-            "arc_numeric_vs_model": _residual_dict(report.arc_residual),
+            "ode_vs_closed": report.ode_residual._asdict(),
+            "rho_numeric_vs_closed": report.rho_residual._asdict(),
+            "phi_actual_vs_prescribed": report.phi_residual._asdict(),
+            "arc_numeric_vs_model": report.arc_residual._asdict(),
         },
         "checks": checks,
         "notes": notes,

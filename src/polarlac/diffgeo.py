@@ -24,6 +24,7 @@ _SIMPSON_MAX_DEPTH = 48
 _SIMPSON_MAX_EVALS = 4096
 _NOISE_FLOOR = 2.0 ** -34
 _BLOWUP_LIMIT = 1e12
+_ODE_STEPS = 10_000
 
 
 class DegeneratePoint(ArithmeticError):
@@ -301,7 +302,7 @@ def _angle_distance_mod_pi(x: float, y: float) -> float:
     return min(m, math.pi - m)
 
 
-def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport:
+def compare(p: CurveParams, count: int) -> OracleReport:
     """Run the full oracle on the sample grid and join it with the closed
     forms.  Rows where the numeric side is not measurable (endpoint domain
     failures, degenerate points, failed quadrature segments) are flagged
@@ -310,19 +311,25 @@ def compare(p: CurveParams, count: int, ode_steps: int = 10_000) -> OracleReport
     closed = _curve.sample(p, count)
 
     # the stencils and the two Simpson segments ending at a grid theta all
-    # ask for R at theta and at theta +- default_step(theta); keeping every
-    # value R returns evaluates each of those once
+    # ask for R at theta and at theta +- default_step(theta); keeping those
+    # values, and only those, evaluates each of them once in bounded memory
+    thetas = [row.theta for row in closed]
+    shared = set(thetas)
+    for t in thetas:
+        h = default_step(t)
+        shared.update((t - h, t + h))
     known: dict[float, float] = {}
 
     def R(t: float) -> float:
         r = known.get(t)
         if r is None:
-            r = known[t] = _curve.radius_at(p, t)
+            r = _curve.radius_at(p, t)
+            if t in shared:
+                known[t] = r
         return r
 
-    ode = ode_arc_length(p, ode_steps)
+    ode = ode_arc_length(p, _ODE_STEPS)
 
-    thetas = [row.theta for row in closed]
     seg = [0.0] * len(thetas)
     for i in range(1, len(thetas)):
         try:

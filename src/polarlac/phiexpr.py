@@ -12,7 +12,10 @@ so ``^`` binds tighter than unary minus and is right-associative, with
 ``sqrt``, ``sin``, ``cos``, ``exp`` and ``ln`` as the function set.  Every
 expression evaluates jointly with its exact first derivative by propagating
 (value, derivative) pairs through the tree; no finite differences are
-involved.  The tree is compiled into closures once, when it is parsed.
+involved.  When an expression is parsed, one rule table (``_RULES``) gives
+each node a value statement and a derivative statement, and the tree becomes
+two straight-line Python functions: one runs the value statements, the other
+both.  Subtrees free of ``theta`` are evaluated while the code is generated.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ class PhiValue(NamedTuple):
 class _Tokenizer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
         self._scan()
 
@@ -146,7 +148,6 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _Tokenizer(source).tokens
         self.idx = 0
 
@@ -237,49 +238,45 @@ class _Parser:
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
-def _level(node: Node) -> int:
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            return _LEVEL_POW
-        if node.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_ADD
+def _layout(node: Node) -> tuple[int, list]:
+    """The node's precedence level and its text, in which each child appears
+    as (child, the lowest level it may have without parentheses)."""
+    if isinstance(node, Num):
+        return _LEVEL_ATOM, [repr(node.value)]
+    if isinstance(node, Var):
+        return _LEVEL_ATOM, ["theta"]
+    if isinstance(node, Pi):
+        return _LEVEL_ATOM, ["pi"]
     if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def _wrap(node: Node, minimum: int) -> str:
-    text = serialize(node)
-    if _level(node) < minimum:
-        return f"({text})"
-    return text
+        return _LEVEL_UNARY, ["-", (node.operand, _LEVEL_UNARY)]
+    if isinstance(node, Call):
+        return _LEVEL_ATOM, [f"{node.fn}(", (node.arg, 0), ")"]
+    if node.op in "+-":
+        return _LEVEL_ADD, [(node.left, _LEVEL_ADD), f" {node.op} ", (node.right, _LEVEL_ADD + 1)]
+    if node.op in "*/":
+        return _LEVEL_MUL, [(node.left, _LEVEL_MUL), node.op, (node.right, _LEVEL_MUL + 1)]
+    # power: base must be an atom, exponent anything unary or tighter
+    return _LEVEL_POW, [(node.left, _LEVEL_ATOM), "^", (node.right, _LEVEL_UNARY)]
 
 
 def serialize(node: Node) -> str:
-    """Render the tree so that re-parsing yields a structurally identical tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "theta"
-    if isinstance(node, Pi):
-        return "pi"
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.operand, _LEVEL_UNARY)
-    if isinstance(node, Call):
-        return f"{node.fn}({serialize(node.arg)})"
-    if node.op in "+-":
-        left = _wrap(node.left, _LEVEL_ADD)
-        right = _wrap(node.right, _LEVEL_ADD + 1)
-        return f"{left} {node.op} {right}"
-    if node.op in "*/":
-        left = _wrap(node.left, _LEVEL_MUL)
-        right = _wrap(node.right, _LEVEL_MUL + 1)
-        return f"{left}{node.op}{right}"
-    # power: base must be an atom, exponent anything unary or tighter
-    left = _wrap(node.left, _LEVEL_ATOM)
-    right = _wrap(node.right, _LEVEL_UNARY)
-    return f"{left}^{right}"
+    """Render the tree so that re-parsing yields a structurally identical tree.
+
+    Pending pieces wait on a list, not on the call stack, so a tree of any
+    depth renders: error messages name nodes at any depth."""
+    out: list[str] = []
+    pending: list = [(node, 0)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        child, minimum = item
+        level, parts = _layout(child)
+        if level < minimum:
+            parts = ["(", *parts, ")"]
+        pending.extend(reversed(parts))
+    return "".join(out)
 
 
 def _check_finite(value: float, node: Node, what: str = "value") -> float:
@@ -288,11 +285,8 @@ def _check_finite(value: float, node: Node, what: str = "value") -> float:
     return value
 
 
-# Evaluation rules, one per operator and function.  A value rule takes the
-# operand values; a dual rule takes (value, derivative) of each operand and
-# returns the pair for the node.  ``node`` is only used to name it in errors.
-
-
+# The helpers below are called by the generated code; ``node`` only names
+# the node in errors.
 def _div_value(l: float, r: float, node: Node) -> float:
     if r == 0:
         raise EvalDomainError("division by zero", node)
@@ -337,58 +331,29 @@ def _exp_value(a: float, node: Node) -> float:
         raise EvalDomainError("exp overflow", node) from None
 
 
-_BINARY_VALUE = {
-    "+": lambda l, r, node: _check_finite(l + r, node),
-    "-": lambda l, r, node: _check_finite(l - r, node),
-    "*": lambda l, r, node: _check_finite(l * r, node),
-    "/": _div_value,
-    "^": _pow_value,
-}
-
-_CALL_VALUE = {
-    "sqrt": _sqrt_value,
-    "ln": _ln_value,
-    "exp": _exp_value,
-    "sin": lambda a, node: math.sin(a),
-    "cos": lambda a, node: math.cos(a),
-}
-
-
-def _mul_dual(lv: float, ld: float, rv: float, rd: float, node: Node) -> tuple[float, float]:
-    return _check_finite(lv * rv, node), _check_finite(ld * rv + lv * rd, node, "derivative")
-
-
-def _div_dual(lv: float, ld: float, rv: float, rd: float, node: Node) -> tuple[float, float]:
-    v = _div_value(lv, rv, node)
-    return v, _check_finite((ld - v * rd) / rv, node, "derivative")
-
-
-def _pow_dual(bv: float, bd: float, ev: float, ed: float, node: Node) -> tuple[float, float]:
-    v = _pow_value(bv, ev, node)
+def _pow_derivative(v: float, bv: float, bd: float, ev: float, ed: float, node: Node) -> float:
     if bv > 0:
-        d = v * (ed * math.log(bv) + ev * bd / bv)
-        return v, _check_finite(d, node, "derivative")
+        return _check_finite(v * (ed * math.log(bv) + ev * bd / bv), node, "derivative")
     if bv == 0:
         # d/dtheta of u^c is c u^(c-1) u', which stays finite at u = 0
         # only for c = 0, c >= 1, or a locally stationary base
         if ed != 0:
             raise EvalDomainError("derivative of power with zero base and varying exponent", node)
         if ev == 0:
-            return v, 0.0
+            return 0.0
         if ev >= 1:
-            return v, bd if ev == 1 else 0.0
+            return bd if ev == 1 else 0.0
         if bd == 0:
-            return v, 0.0
+            return 0.0
         raise EvalDomainError("unbounded derivative of fractional power at zero", node)
     # negative base, integer constant exponent
     if ed != 0:
         raise EvalDomainError("derivative of power with negative base and varying exponent", node)
-    d = ev * _pow_value(bv, ev - 1, node) * bd
-    return v, _check_finite(d, node, "derivative")
+    return _check_finite(ev * _pow_value(bv, ev - 1, node) * bd, node, "derivative")
 
 
-def _sqrt_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
-    v = _sqrt_value(av, node)
+def _sqrt_dual(v: float, av: float, ad: float, node: Node) -> tuple[float, float]:
+    # where the derivative exists at zero, the value is +0.0, even for -0.0
     if av == 0:
         if ad == 0:
             return 0.0, 0.0
@@ -396,103 +361,93 @@ def _sqrt_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
     return v, ad / (2.0 * v)
 
 
-def _ln_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
-    return _ln_value(av, node), ad / av
-
-
-def _exp_dual(av: float, ad: float, node: Node) -> tuple[float, float]:
-    v = _exp_value(av, node)
-    return v, _check_finite(v * ad, node, "derivative")
-
-
-_BINARY_DUAL = {
-    "+": lambda lv, ld, rv, rd, node: (_check_finite(lv + rv, node), ld + rd),
-    "-": lambda lv, ld, rv, rd, node: (_check_finite(lv - rv, node), ld - rd),
-    "*": _mul_dual,
-    "/": _div_dual,
-    "^": _pow_dual,
+_HELPERS = {
+    f.__name__: f
+    for f in (_check_finite, _div_value, _pow_value, _pow_derivative, _sqrt_value, _sqrt_dual,
+              _ln_value, _exp_value, math.sin, math.cos)
 }
 
-_CALL_DUAL = {
-    "sqrt": _sqrt_dual,
-    "ln": _ln_dual,
-    "exp": _exp_dual,
-    "sin": lambda av, ad, node: (math.sin(av), math.cos(av) * ad),
-    "cos": lambda av, ad, node: (math.cos(av), -math.sin(av) * ad),
+# Evaluation rules, one per operator and function: the statement that sets
+# the node's value {v}, and the statement that sets its derivative {d} after
+# it.  {a} and {ad} are the operand's value and derivative; {l}, {ld}, {r}
+# and {rd} those of the left and right operands; {n} is the node.
+_RULES = {
+    "neg": ("{v} = -{a}", "{d} = -{ad}"),
+    "+": ("{v} = _check_finite({l} + {r}, {n})", "{d} = {ld} + {rd}"),
+    "-": ("{v} = _check_finite({l} - {r}, {n})", "{d} = {ld} - {rd}"),
+    "*": (
+        "{v} = _check_finite({l} * {r}, {n})",
+        "{d} = _check_finite({ld} * {r} + {l} * {rd}, {n}, 'derivative')",
+    ),
+    "/": (
+        "{v} = _div_value({l}, {r}, {n})",
+        "{d} = _check_finite(({ld} - {v} * {rd}) / {r}, {n}, 'derivative')",
+    ),
+    "^": ("{v} = _pow_value({l}, {r}, {n})", "{d} = _pow_derivative({v}, {l}, {ld}, {r}, {rd}, {n})"),
+    "sqrt": ("{v} = _sqrt_value({a}, {n})", "{v}, {d} = _sqrt_dual({v}, {a}, {ad}, {n})"),
+    "ln": ("{v} = _ln_value({a}, {n})", "{d} = {ad} / {a}"),
+    "exp": ("{v} = _exp_value({a}, {n})", "{d} = _check_finite({v} * {ad}, {n}, 'derivative')"),
+    "sin": ("{v} = sin({a})", "{d} = cos({a}) * {ad}"),
+    "cos": ("{v} = cos({a})", "{d} = -sin({a}) * {ad}"),
 }
 
 
-# The tree is compiled once into closures that apply the rules above:
-# ``_compile_value`` builds theta -> phi and ``_compile_dual`` builds
-# theta -> (phi, dphi/dtheta).  Operands are evaluated left to right, so a
-# closure fails at the same node, with the same error, as evaluating the
-# tree node by node would.
+def _constant(names: dict, value) -> str:
+    name = f"c{len(names)}"
+    names[name] = value
+    return name
 
 
-def _folded(node: Node, fn: Callable):
-    """``fn``, or a constant function when ``node`` does not depend on theta
-    and evaluates without error; an error is left for evaluation to raise."""
-    if depends_on_theta(node):
-        return fn
-    try:
-        result = fn(0.0)
-    except (ArithmeticError, ValueError):
-        return fn
-    return lambda theta: result
+def _emit(node: Node, dual: bool, names: dict, lines: list[str]) -> tuple[str, str]:
+    """Append the statements that evaluate ``node`` to ``lines`` and return
+    the expressions holding its value and derivative.
 
-
-def _compile_value(node: Node) -> Callable[[float], float]:
-    if isinstance(node, Num):
-        fn = lambda theta: node.value
-    elif isinstance(node, Var):
-        fn = lambda theta: theta
-    elif isinstance(node, Pi):
-        fn = lambda theta: math.pi
-    elif isinstance(node, Neg):
-        operand = _compile_value(node.operand)
-        fn = lambda theta: -operand(theta)
+    Operands come left to right before the node, so the code fails at the
+    same node, with the same error, as a walk of the tree would.  Numbers,
+    nodes and folded results enter ``names`` as constants, never as source
+    text.  A node whose operands are all constants is evaluated once, here:
+    its result becomes a constant, or, if it raises, its statements stay.
+    """
+    if isinstance(node, Var):
+        return "theta", "1.0"
+    if isinstance(node, (Num, Pi)):
+        return _constant(names, math.pi if isinstance(node, Pi) else node.value), "0.0"
+    if isinstance(node, Neg):
+        rule, operands, keys = "neg", (node.operand,), ("a",)
     elif isinstance(node, Call):
-        arg = _compile_value(node.arg)
-        rule = _CALL_VALUE[node.fn]
-        fn = lambda theta: rule(arg(theta), node)
+        rule, operands, keys = node.fn, (node.arg,), ("a",)
     else:
-        left = _compile_value(node.left)
-        right = _compile_value(node.right)
-        rule = _BINARY_VALUE[node.op]
-        fn = lambda theta: rule(left(theta), right(theta), node)
-    return _folded(node, fn)
+        rule, operands, keys = node.op, (node.left, node.right), ("l", "r")
+    i = len(names)
+    fields = {"n": f"n{i}", "v": f"v{i}", "d": f"d{i}"}
+    names[fields["n"]] = node
+    # a loop, not a comprehension, so that emitting takes one frame per level
+    for key, operand in zip(keys, operands):
+        fields[key], fields[key + "d"] = _emit(operand, dual, names, lines)
+    statements = [template.format(**fields) for template in _RULES[rule][: 1 + dual]]
+    if all(fields[key] in names for key in keys):
+        scope: dict = {}
+        try:
+            exec("\n".join(statements), names, scope)
+        except (ArithmeticError, ValueError):
+            pass
+        else:
+            value = _constant(names, scope[fields["v"]])
+            return value, _constant(names, scope[fields["d"]]) if dual else "0.0"
+    lines.extend(statements)
+    return fields["v"], fields["d"]
 
 
-def _compile_dual(node: Node) -> Callable[[float], tuple[float, float]]:
-    if isinstance(node, Num):
-        fn = lambda theta: (node.value, 0.0)
-    elif isinstance(node, Var):
-        fn = lambda theta: (theta, 1.0)
-    elif isinstance(node, Pi):
-        fn = lambda theta: (math.pi, 0.0)
-    elif isinstance(node, Neg):
-        operand = _compile_dual(node.operand)
-
-        def fn(theta: float) -> tuple[float, float]:
-            v, d = operand(theta)
-            return -v, -d
-    elif isinstance(node, Call):
-        arg = _compile_dual(node.arg)
-        call_rule = _CALL_DUAL[node.fn]
-
-        def fn(theta: float) -> tuple[float, float]:
-            av, ad = arg(theta)
-            return call_rule(av, ad, node)
-    else:
-        left = _compile_dual(node.left)
-        right = _compile_dual(node.right)
-        binary_rule = _BINARY_DUAL[node.op]
-
-        def fn(theta: float) -> tuple[float, float]:
-            lv, ld = left(theta)
-            rv, rd = right(theta)
-            return binary_rule(lv, ld, rv, rd, node)
-    return _folded(node, fn)
+def _generate(ast: Node, dual: bool) -> Callable:
+    """Compile ``ast`` into one straight-line function: theta -> phi, or
+    theta -> (phi, dphi/dtheta) when ``dual``."""
+    names = dict(_HELPERS)
+    lines: list[str] = []
+    v, d = _emit(ast, dual, names, lines)
+    lines.append(f"return {v}, {d}" if dual else f"return {v}")
+    source = "def phi(theta):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, "<phi>", "exec"), names)
+    return names["phi"]
 
 
 @dataclass(frozen=True)
@@ -502,8 +457,8 @@ class PhiFunction:
     ``value`` evaluates phi alone and succeeds anywhere the expression is
     real-valued.  ``eval_with_derivative`` additionally propagates the exact
     first derivative and therefore also rejects points where the derivative
-    is unbounded (for example sqrt(theta) at zero).  Both run closures
-    compiled from the tree once, at construction.
+    is unbounded (for example sqrt(theta) at zero).  Both run straight-line
+    code generated from the tree once, at construction.
     """
 
     source: str
@@ -512,11 +467,11 @@ class PhiFunction:
     _dual: Callable[[float], tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", _compile_value(self.ast))
-        object.__setattr__(self, "_dual", _compile_dual(self.ast))
+        object.__setattr__(self, "_value", _generate(self.ast, dual=False))
+        object.__setattr__(self, "_dual", _generate(self.ast, dual=True))
 
     def __reduce__(self):
-        # closures do not pickle; unpickling compiles the tree again
+        # generated functions do not pickle; unpickling generates them again
         return PhiFunction, (self.source, self.ast)
 
     def value(self, theta: float) -> float:
@@ -537,12 +492,14 @@ class PhiFunction:
 
 
 def parse(source: str) -> PhiFunction:
-    """Parse an expression over ``theta`` into a PhiFunction, compiling it
-    for evaluation with its theta-free subexpressions folded to constants.
+    """Parse an expression over ``theta`` into a PhiFunction, generating its
+    two evaluators with every theta-free subexpression that evaluates without
+    error folded to a constant.
 
     Raises ParseError (with a character offset), UnknownIdentifier, or
     EmptyExpression.  An expression nested deeper than the interpreter's
-    recursion limit allows to parse and compile is a ParseError at offset 0.
+    recursion limit allows to parse and generate is a ParseError at offset 0.
+    Evaluation itself does not recurse, whatever the depth.
     """
     try:
         return PhiFunction(source, _Parser(source).parse())

@@ -348,6 +348,8 @@ def test_turn_that_never_increases_exits_2(tmp_path, sub):
 
 NUMERIC_EDGE_ARGS = ["--theta1", "1", "--phi", "theta", "--samples", "8"]
 NESTED_200 = "(" * 200 + "theta" + ")" * 200
+# the root overflows; its error message names a node 601 levels deep
+DEEP_OVERFLOW = " + ".join(["1e308", *["0*theta"] * 600, "1e308"])
 
 # inputs that once ended in a traceback, one per way of escaping
 ESCAPES = [
@@ -364,9 +366,10 @@ ESCAPES = [
     (["svg", "--n", "5e-324", "--a", "-1000000.0", "--b", "1.0000000001", "--theta0", "0.5",
       "--theta1", "1", "--phi", "theta^0.5", "--samples", "5"], 5),
     (["sample", "--n", "1", "--phi", NESTED_200], 3),
+    (["sample", "--n", "2", "--phi", DEEP_OVERFLOW], 2),
 ]
 ESCAPE_IDS = ["verify-ln", "lcg-sqrt", "lcg-rho-not-positive", "svg-log-0", "svg-curve-not-finite",
-              "sample-nested-200"]
+              "sample-nested-200", "sample-deep-overflow"]
 
 
 @pytest.mark.parametrize(
@@ -428,15 +431,31 @@ def test_bugs_stay_loud(tmp_path, monkeypatch):
         run(FIG4, tmp_path)
 
 
+def _sum_of_theta(terms):
+    return " + ".join(["theta"] * terms)
+
+
+# the oracle evaluates phi from deeper in the stack than parsing runs, so
+# sums just short of the parse limit (990 terms) must evaluate there too
 @pytest.mark.parametrize(
-    "phi",
-    ["(" * 150 + "theta" + ")" * 150, " + ".join(["theta"] * 900)],
-    ids=["nested-150", "sum-900"],
+    "argv,code",
+    [
+        (["sample", "--n", "1", "--phi", "(" * 150 + "theta" + ")" * 150, "--samples", "4"], 0),
+        (["sample", "--n", "1", "--phi", _sum_of_theta(900), "--samples", "4"], 0),
+        (["verify", "--n", "2", "--phi", _sum_of_theta(945), "--samples", "4"], 0),
+        (["verify", "--n", "2", "--phi", _sum_of_theta(985), "--samples", "8"], 0),
+        # phi turns 985 radians over the sweep: no numeric graph point is usable
+        (["lcg", "--n", "2", "--phi", _sum_of_theta(985), "--samples", "8"], 5),
+    ],
+    ids=["nested-150", "sum-900", "verify-sum-945", "verify-sum-985", "lcg-sum-985"],
 )
-def test_deep_expressions_that_parse_still_run(tmp_path, phi):
-    proc = run_process(["sample", "--n", "1", "--theta1", "1", "--phi", phi, "--samples", "4"], tmp_path)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+def test_deep_expressions_that_parse_still_run(tmp_path, argv, code):
+    proc = run_process([argv[0], "--theta1", "1", *argv[1:]], tmp_path)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 _NUMBERS = st.one_of(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,21 @@ class TestCompare:
         compare(params(2.0, theta1=5.0, phi="pi/8"), 1024)
         assert calls["R"] <= 13 * 1024
         assert calls["phi"] <= 3 * 1024
+
+    def test_memory_stays_bounded_when_segments_exhaust_the_budget(self):
+        # each of the 7 segments of a 1e6-radian sweep of an oscillating R
+        # makes 12,288 R calls before it stops at the Simpson budget; keeping
+        # all of those values peaks near 7 MB, while the 10,001-step ODE
+        # output the oracle keeps takes about 1 MB
+        p = params(2.0, b=2.0, theta1=1e6, phi="sin(theta)")
+        tracemalloc.start()
+        try:
+            report = compare(p, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.degenerate_rows == 7
+        assert peak < 2_000_000
 
     def test_row_columns_join_closed_and_numeric(self, fig4):
         report = compare(fig4, 16)
