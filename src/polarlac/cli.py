@@ -17,12 +17,14 @@ Errors are decided at two levels.  A row that raises a row error
 escapes a subcommand ends the run: ``main`` looks its class up in one table,
 ``_EXITS``, for the exit code and the message prefix.  ``CliError`` carries
 its own code, for what this module detects itself.
+
+Each subcommand imports the layers it uses when it runs, and ``json`` loads
+only where a run reads a config file or writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -30,9 +32,6 @@ import tempfile
 from typing import NamedTuple
 
 from . import curve as _curve
-from . import diffgeo as _diffgeo
-from . import lcg as _lcg
-from . import svgplot as _svgplot
 from .phiexpr import ParseError, depends_on_theta, parse
 
 EXIT_VERIFY_FAILED = 1
@@ -44,7 +43,8 @@ EXIT_DEGENERATE = 5
 DEFAULTS = {"a": 1.0, "b": 1.0, "theta0": 0.0, "samples": 512}
 
 _NUMBER_KEYS = ("n", "a", "b", "theta0", "theta1")
-_CONFIG_KEYS = _NUMBER_KEYS + ("phi", "samples", "out_dir", "outputs")
+_PARAM_KEYS = _NUMBER_KEYS + ("phi", "samples")
+_CONFIG_KEYS = _PARAM_KEYS + ("out_dir", "outputs")
 _SVG_OUTPUTS = ("svg-curve", "svg-rho", "svg-lcg")
 
 
@@ -101,6 +101,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _load_config_file(path: str) -> dict:
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -134,20 +135,20 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _merge_config(args: argparse.Namespace, usage: str) -> RunConfig:
+def _merge_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> RunConfig:
     merged: dict = dict(DEFAULTS)
     outputs: tuple[str, ...] = _SVG_OUTPUTS
     out_dir = "."
     if args.config is not None:
         file_data = _load_config_file(args.config)
-        for key in _NUMBER_KEYS + ("phi", "samples"):
+        for key in _PARAM_KEYS:
             if key in file_data:
                 merged[key] = file_data[key]
         if "out_dir" in file_data:
             out_dir = file_data["out_dir"]
         if "outputs" in file_data:
             outputs = tuple(o for o in _SVG_OUTPUTS if o in file_data["outputs"])
-    for key in _NUMBER_KEYS + ("phi", "samples"):
+    for key in _PARAM_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
@@ -156,6 +157,7 @@ def _merge_config(args: argparse.Namespace, usage: str) -> RunConfig:
 
     missing = [k for k in ("n", "theta1", "phi") if k not in merged]
     if missing:
+        usage = subparser.format_usage()
         raise CliError(EXIT_CONFIG, f"{usage}missing required parameter(s): {', '.join(missing)}")
     samples = merged["samples"]
     if samples < 2:
@@ -215,19 +217,12 @@ def _json_safe(obj):
 
 
 def _dump_json(obj) -> str:
+    import json
     return json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _params_echo(cfg: RunConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "a": cfg.a,
-        "b": cfg.b,
-        "theta0": cfg.theta0,
-        "theta1": cfg.theta1,
-        "phi": cfg.phi,
-        "samples": cfg.samples,
-    }
+    return {key: getattr(cfg, key) for key in _PARAM_KEYS}
 
 
 # One row of samples.csv / samples.json per format operation.  The JSON
@@ -282,19 +277,20 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
-def _points_csv(points: list[_lcg.LcgPoint]) -> str:
+def _points_csv(points: list) -> str:
     lines = ["log_rho,log_dL_dlogrho"]
     lines.extend(f"{_f17(pt.x)},{_f17(pt.y)}" for pt in points)
     return "\n".join(lines) + "\n"
 
 
 def cmd_lcg(cfg: RunConfig) -> int:
+    from . import diffgeo, lcg
     params = _build_params(cfg)
-    closed_points = _lcg.lcg_closed_form(params, cfg.samples)
-    report = _diffgeo.compare(params, cfg.samples)
-    numeric_points = _lcg.lcg_numeric(report)
-    closed_fit = _lcg.linear_fit(closed_points)
-    numeric_fit = _lcg.linear_fit(numeric_points)
+    closed_points = lcg.lcg_closed_form(params, cfg.samples)
+    report = diffgeo.compare(params, cfg.samples)
+    numeric_points = lcg.lcg_numeric(report)
+    closed_fit = lcg.linear_fit(closed_points)
+    numeric_fit = lcg.linear_fit(numeric_points)
     _write_atomic(cfg.out_dir, "lcg_closed.csv", _points_csv(closed_points))
     _write_atomic(cfg.out_dir, "lcg_numeric.csv", _points_csv(numeric_points))
     payload = {
@@ -317,9 +313,10 @@ def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import diffgeo, lcg
     params = _build_params(cfg)
-    report = _diffgeo.compare(params, cfg.samples)
-    closed_fit = _lcg.linear_fit(_lcg.lcg_closed_form(params, cfg.samples))
+    report = diffgeo.compare(params, cfg.samples)
+    closed_fit = lcg.linear_fit(lcg.lcg_closed_form(params, cfg.samples))
     expected_intercept = math.log(abs(params.n / params.a))
 
     checks = []
@@ -348,7 +345,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         hard_ok = hard_ok and phi_ok
 
     try:
-        numeric_fit = _lcg.linear_fit(_lcg.lcg_numeric(report))
+        numeric_fit = lcg.linear_fit(lcg.lcg_numeric(report))
         check("numeric_lcg_slope_minus_n", abs(numeric_fit.slope - params.n), math.inf, False, True)
         check("numeric_lcg_r_squared", numeric_fit.r_squared, math.inf, False, True)
         if _is_compatible_spiral(params):
@@ -383,19 +380,20 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_svg(cfg: RunConfig) -> int:
+    from . import lcg, svgplot
     params = _build_params(cfg)
     good = [r for r in _curve.sample(params, cfg.samples) if r.valid.in_domain]
     if not good:
         raise CliError(EXIT_CONFIG, "all samples are outside the curve domain; nothing to plot")
     if "svg-curve" in cfg.outputs:
-        text = _svgplot.render_polyline([(r.x, r.y) for r in good], "curve")
+        text = svgplot.render_polyline([(r.x, r.y) for r in good], "curve")
         _write_atomic(cfg.out_dir, "curve.svg", text)
     if "svg-rho" in cfg.outputs:
-        text = _svgplot.render_polyline([(r.theta, r.rho) for r in good], "radius of curvature")
+        text = svgplot.render_polyline([(r.theta, r.rho) for r in good], "radius of curvature")
         _write_atomic(cfg.out_dir, "rho.svg", text)
     if "svg-lcg" in cfg.outputs:
-        points = _lcg.lcg_closed_form(params, cfg.samples)
-        text = _svgplot.render_polyline([(pt.x, pt.y) for pt in points], "logarithmic curvature graph")
+        points = lcg.lcg_closed_form(params, cfg.samples)
+        text = svgplot.render_polyline([(pt.x, pt.y) for pt in points], "logarithmic curvature graph")
         _write_atomic(cfg.out_dir, "lcg.svg", text)
     return 0
 
@@ -403,16 +401,23 @@ def cmd_svg(cfg: RunConfig) -> int:
 _COMMANDS = {"sample": cmd_sample, "lcg": cmd_lcg, "verify": cmd_verify, "svg": cmd_svg}
 
 # The exit code and message prefix of each error that escapes a subcommand;
-# the first row whose classes match wins.  Every class here is a row error,
-# so the last row catches whatever the library raised for a point it could
-# not evaluate.
+# the first row whose classes match wins.  Classes are named by module and
+# looked up only in modules already loaded, since no other module can have
+# raised one: matching imports nothing.  Every class here is a row error, so
+# the last row catches whatever the library raised for a point it could not
+# evaluate.
 _EXITS = (
-    (ParseError, EXIT_PARSE, "cannot parse phi expression: "),
-    (_curve.InvalidParameters, EXIT_CONFIG, "invalid parameters: "),
-    ((_lcg.TooFewPoints, _lcg.DegenerateFit), EXIT_DEGENERATE, "logarithmic curvature graph degenerated: "),
-    (_svgplot.NothingToPlot, EXIT_DEGENERATE, ""),
-    (_curve.ROW_ERRORS, EXIT_CONFIG, ""),
+    ("phiexpr", ("ParseError",), EXIT_PARSE, "cannot parse phi expression: "),
+    ("curve", ("InvalidParameters",), EXIT_CONFIG, "invalid parameters: "),
+    ("lcg", ("TooFewPoints", "DegenerateFit"), EXIT_DEGENERATE, "logarithmic curvature graph degenerated: "),
+    ("svgplot", ("NothingToPlot",), EXIT_DEGENERATE, ""),
+    ("curve", ("ROW_ERRORS",), EXIT_CONFIG, ""),
 )
+
+
+def _is_instance(exc: Exception, module: str, names: tuple[str, ...]) -> bool:
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(exc, tuple(getattr(loaded, name) for name in names))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -422,13 +427,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        usage = subparsers[args.command].format_usage()
-        cfg = _merge_config(args, usage)
+        cfg = _merge_config(args, subparsers[args.command])
         return _COMMANDS[args.command](cfg)
     except CliError as exc:
         code, message = exc.code, str(exc)
     except _curve.ROW_ERRORS as exc:
-        code, prefix = next((c, pre) for cls, c, pre in _EXITS if isinstance(exc, cls))
+        code, prefix = next((c, pre) for mod, names, c, pre in _EXITS if _is_instance(exc, mod, names))
         message = prefix + str(exc)
     _diagnose(message)
     return code

@@ -23,10 +23,10 @@ the formulas above spell out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+from ._record import Record
 from .phiexpr import EvalDomainError, PhiFunction
 
 # |n - 1| at or below this dispatches to the exponential family
@@ -75,20 +75,14 @@ class NonpositiveRho(ValueError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Record):
     """Full specification of one curve; immutable after construction."""
 
-    n: float
-    a: float
-    b: float
-    theta0: float
-    theta1: float
-    phi: PhiFunction
-    phi0: float = field(init=False, repr=False, compare=False)
-    _kernel: _Kernel = field(init=False, repr=False, compare=False)
+    _fields = ("n", "a", "b", "theta0", "theta1", "phi")
+    __slots__ = _fields + ("phi0", "_kernel")
 
-    def __post_init__(self):
+    def __init__(self, n: float, a: float, b: float, theta0: float, theta1: float, phi: PhiFunction):
+        super().__init__(n, a, b, theta0, theta1, phi)
         for name in ("n", "a", "b", "theta0", "theta1"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -109,10 +103,6 @@ class CurveParams:
             raise InvalidParameters("phi(theta0) is not finite")
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "_kernel", _compile(self))
-
-    def __reduce__(self):
-        # the kernel's closures do not pickle; unpickling compiles it again
-        return CurveParams, (self.n, self.a, self.b, self.theta0, self.theta1, self.phi)
 
     @property
     def is_class_one(self) -> bool:
@@ -313,35 +303,14 @@ def validate(p: CurveParams) -> ValidationReport:
     Conditions other than in_domain are judged only where the sample is
     evaluable; the first violating theta is recorded per condition.
     """
-    rows = sample(p, _GRID)
-    first: dict[str, float | None] = {
-        "in_domain": None,
-        "rho_positive": None,
-        "radius_positive": None,
-        "monotone_factor_positive": None,
-        "sin_phi_positive": None,
-    }
-    for row in rows:
-        if not row.valid.in_domain:
-            if first["in_domain"] is None:
-                first["in_domain"] = row.theta
-            continue
-        if not row.valid.rho_positive and first["rho_positive"] is None:
-            first["rho_positive"] = row.theta
-        if not row.valid.radius_positive and first["radius_positive"] is None:
-            first["radius_positive"] = row.theta
-        if not row.valid.monotone_factor_positive and first["monotone_factor_positive"] is None:
-            first["monotone_factor_positive"] = row.theta
-        if not math.sin(row.phi) > 0.0 and first["sin_phi_positive"] is None:
-            first["sin_phi_positive"] = row.theta
-
-    def report(key: str) -> ConditionReport:
-        return ConditionReport(first[key] is None, first[key])
-
-    return ValidationReport(
-        in_domain=report("in_domain"),
-        rho_positive=report("rho_positive"),
-        radius_positive=report("radius_positive"),
-        monotone_factor_positive=report("monotone_factor_positive"),
-        sin_phi_positive=report("sin_phi_positive"),
-    )
+    first: dict[str, float | None] = dict.fromkeys(ValidationReport._fields)
+    for row in sample(p, _GRID):
+        v = row.valid
+        if v.in_domain:
+            held = (True, v.rho_positive, v.radius_positive, v.monotone_factor_positive, math.sin(row.phi) > 0.0)
+        else:
+            held = (False,)  # judged on in_domain alone
+        for key, ok in zip(first, held):
+            if not ok and first[key] is None:
+                first[key] = row.theta
+    return ValidationReport(*(ConditionReport(theta is None, theta) for theta in first.values()))

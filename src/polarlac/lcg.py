@@ -14,11 +14,13 @@ experiment.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import curve as _curve
 from .curve import ROW_ERRORS, CurveParams
-from .diffgeo import OracleReport
+
+if TYPE_CHECKING:  # only an annotation reads it, so plotting loads no oracle
+    from .diffgeo import OracleReport
 
 
 class TooFewPoints(ValueError):

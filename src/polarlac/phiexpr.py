@@ -21,8 +21,9 @@ both.  Subtrees free of ``theta`` are evaluated while the code is generated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
+
+from ._record import Record
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln")
 
@@ -55,37 +56,28 @@ class EvalDomainError(ArithmeticError):
         self.node = node
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Record):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Var(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+class Pi(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Neg(Record):
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+class BinOp(Record):
+    __slots__ = _fields = ("op", "left", "right")  # op is one of + - * / ^
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str  # one of FUNCTIONS
-    arg: "Node"
+class Call(Record):
+    __slots__ = _fields = ("fn", "arg")  # fn is one of FUNCTIONS
 
 
 Node = Num | Var | Pi | Neg | BinOp | Call
@@ -450,8 +442,7 @@ def _generate(ast: Node, dual: bool) -> Callable:
     return names["phi"]
 
 
-@dataclass(frozen=True)
-class PhiFunction:
+class PhiFunction(Record):
     """A parsed phi(theta) expression, immutable and safe to share.
 
     ``value`` evaluates phi alone and succeeds anywhere the expression is
@@ -461,18 +452,13 @@ class PhiFunction:
     code generated from the tree once, at construction.
     """
 
-    source: str
-    ast: Node
-    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _dual: Callable[[float], tuple[float, float]] = field(init=False, repr=False, compare=False)
+    _fields = ("source", "ast")
+    __slots__ = _fields + ("_value", "_dual")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_value", _generate(self.ast, dual=False))
-        object.__setattr__(self, "_dual", _generate(self.ast, dual=True))
-
-    def __reduce__(self):
-        # generated functions do not pickle; unpickling generates them again
-        return PhiFunction, (self.source, self.ast)
+    def __init__(self, source: str, ast: Node):
+        super().__init__(source, ast)
+        object.__setattr__(self, "_value", _generate(ast, dual=False))
+        object.__setattr__(self, "_dual", _generate(ast, dual=True))
 
     def value(self, theta: float) -> float:
         return self._value(theta)
@@ -482,7 +468,8 @@ class PhiFunction:
         if not (math.isfinite(v) and math.isfinite(d)):
             _check_finite(v, self.ast)
             _check_finite(d, self.ast, "derivative")
-        return PhiValue(v, d)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return tuple.__new__(PhiValue, (v, d))
 
     def serialize(self) -> str:
         return serialize(self.ast)

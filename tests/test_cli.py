@@ -660,3 +660,51 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert (tmp_path / "verify.json").exists()
+
+
+LAYERS = {"polarlac.diffgeo", "polarlac.lcg", "polarlac.svgplot"}
+
+
+def modules_loaded_by(source):
+    """Run ``source`` in a fresh interpreter and return the modules it loaded
+    beyond those the interpreter's start-up had: ``site`` may load typing or
+    tempfile already, so only the difference is ours."""
+    script = f"import sys\n_before = set(sys.modules)\n{source}\nprint(*sorted(set(sys.modules) - _before))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestStartUp:
+    def test_importing_the_cli_loads_no_dataclasses_and_no_layer_it_may_not_need(self):
+        added = modules_loaded_by("import polarlac.cli")
+        assert "polarlac.cli" in added
+        assert not added & ({"dataclasses", "inspect", "json"} | LAYERS)
+
+    @pytest.mark.parametrize(
+        "sub,layers",
+        [
+            ("sample", set()),
+            ("svg", {"polarlac.lcg", "polarlac.svgplot"}),
+            ("lcg", {"polarlac.diffgeo", "polarlac.lcg"}),
+            ("verify", {"polarlac.diffgeo", "polarlac.lcg"}),
+        ],
+    )
+    def test_a_run_loads_only_the_layers_of_its_subcommand(self, tmp_path, sub, layers):
+        argv = [sub, *FIG4, "--samples", "8", "--out", str(tmp_path)]
+        added = modules_loaded_by(f"from polarlac.cli import main\nassert main({argv!r}) == 0")
+        assert added & LAYERS == layers
+        assert not added & {"dataclasses", "inspect"}
+
+    def test_mapping_an_escaped_error_to_its_exit_code_imports_nothing(self, tmp_path):
+        # the error passes the rows of lcg and svgplot on its way to the last
+        # row; neither module is loaded, so neither can have raised it
+        argv = ["sample", *FIG4, "--out", str(tmp_path)]
+        added = modules_loaded_by(
+            "from polarlac import cli\n"
+            "def escape(cfg):\n"
+            "    raise OverflowError('x')\n"
+            "cli._COMMANDS['sample'] = escape\n"
+            f"assert cli.main({argv!r}) == cli.EXIT_CONFIG"
+        )
+        assert not added & LAYERS

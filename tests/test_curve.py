@@ -67,6 +67,26 @@ class TestCurveParams:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.n = 2.0
 
+    def test_deleting_a_field_is_refused(self):
+        p = params(1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.n
+        assert p.n == 1.0
+
+    def test_keyword_construction(self):
+        phi = parse("pi/4")
+        p = CurveParams(n=2.0, a=1.0, b=1.0, theta0=0.0, theta1=3.0, phi=phi)
+        assert p == CurveParams(2.0, 1.0, 1.0, 0.0, 3.0, phi)
+        assert hash(p) == hash(CurveParams(2.0, 1.0, 1.0, 0.0, 3.0, parse("pi/4")))
+        assert p != CurveParams(2.0, 1.0, 1.0, 0.0, 4.0, phi)
+
+    def test_repr_leaves_out_what_is_derived(self):
+        p = CurveParams(n=2.0, a=1.0, b=1.0, theta0=0.0, theta1=3.0, phi=parse("pi/4"))
+        assert repr(p) == (
+            "CurveParams(n=2.0, a=1.0, b=1.0, theta0=0.0, theta1=3.0, "
+            "phi=PhiFunction(source='pi/4', ast=BinOp(op='/', left=Pi(), right=Num(value=4.0))))"
+        )
+
 
 class TestArcLength:
     def test_exponential_family_unit_turn(self, fig4):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlac import EvalDomainError, ParseError, UnknownIdentifier, parse
+from polarlac import EvalDomainError, ParseError, PhiFunction, UnknownIdentifier, parse
 from polarlac.phiexpr import (
     BinOp,
     Call,
@@ -226,6 +226,65 @@ class TestEvaluation:
         f = parse("pi/2")
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.source = "pi"
+
+
+class TestRecords:
+    """The tree nodes and PhiFunction behave as the frozen dataclasses they
+    replaced: same constructors, repr, equality, hashing and pickling."""
+
+    NODES = [Num(1.5), Var(), Pi(), Neg(Var()), BinOp("+", Var(), Pi()), Call("sin", Num(2.0))]
+
+    def test_repr_of_a_tree(self):
+        assert repr(parse("-sqrt(theta)^2 + pi/8").ast) == (
+            "BinOp(op='+', left=Neg(operand=BinOp(op='^', left=Call(fn='sqrt', arg=Var()), "
+            "right=Num(value=2.0))), right=BinOp(op='/', left=Pi(), right=Num(value=8.0)))"
+        )
+
+    def test_repr_of_a_phi_function_leaves_out_the_generated_code(self):
+        assert repr(parse("pi/8")) == "PhiFunction(source='pi/8', ast=BinOp(op='/', left=Pi(), right=Num(value=8.0)))"
+
+    def test_equality_includes_the_class(self):
+        assert Var() != Pi()
+        assert Var() == Var()
+        assert Num(1.0) == Num(1.0)
+        assert hash(Num(1.0)) == hash(Num(1.0))
+        assert Num(1.0) != Num(2.0)
+        assert Num(1.0) != (1.0,)
+
+    def test_keyword_construction(self):
+        node = BinOp(op="+", left=Var(), right=Num(value=1.0))
+        assert node == parse("theta + 1").ast
+        f = PhiFunction(source="theta + 1", ast=node)
+        assert f == parse("theta + 1")
+        assert f.eval_with_derivative(2.0) == (3.0, 1.0)
+
+    def test_wrong_arguments_are_refused(self):
+        with pytest.raises(TypeError):
+            Num()
+        with pytest.raises(TypeError):
+            Num(1.0, value=1.0)
+        with pytest.raises(TypeError):
+            Call("sin", arg=Var(), fn="cos")
+        with pytest.raises(TypeError):
+            Var(1.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_node_pickles(self, protocol):
+        for node in self.NODES:
+            again = pickle.loads(pickle.dumps(node, protocol))
+            assert type(again) is type(node)
+            assert again == node
+
+    def test_deleting_a_field_is_refused(self):
+        f = parse("pi/2")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del f.source
+        node = Num(1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.value = 2.0
+        assert node == Num(1.0)
 
 
 # points where evaluation fails, or where a constant subtree decides the
