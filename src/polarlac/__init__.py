@@ -20,7 +20,10 @@ _LAYERS = {
         "OdeBlowUp", "OracleReport", "compare", "numeric_arc_length", "numeric_curvature", "numeric_phi",
         "ode_arc_length",
     ),
-    "lcg": ("DegenerateFit", "LcgLine", "LcgPoint", "TooFewPoints", "lcg_closed_form", "lcg_numeric", "linear_fit"),
+    "lcg": (
+        "DegenerateFit", "LcgLine", "LcgPoint", "TooFewPoints", "lcg_closed_form", "lcg_numeric", "lcg_points",
+        "linear_fit",
+    ),
     "phiexpr": ("EvalDomainError", "ParseError", "PhiFunction", "PhiValue", "UnknownIdentifier", "parse"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}

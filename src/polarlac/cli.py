@@ -227,8 +227,9 @@ def _params_echo(cfg: RunConfig) -> dict:
 
 # One row of samples.csv / samples.json per format operation.  The JSON
 # template is what json.dumps(indent=2, sort_keys=True) writes for a row dict
-# after _json_safe; _json_number is its encoding of one float.
-_CSV_ROW = ",".join(["%.17g"] * 8) + ",%s"
+# after _json_safe: %s writes a finite float as its repr, and _json_number is
+# the encoding of any float, finite or not.
+_CSV_ROW = ",".join(["%.17g"] * 8) + ",%s\n"
 _JSON_ROW = """    {
       "L": %s,
       "R": %s,
@@ -240,6 +241,9 @@ _JSON_ROW = """    {
       "x": %s,
       "y": %s
     }"""
+# rows formatted and joined at a time, so that only one block's per-row
+# strings are alive at once
+_BLOCK_ROWS = 1024
 
 
 def _json_number(v: float) -> str:
@@ -249,31 +253,29 @@ def _json_number(v: float) -> str:
 def cmd_sample(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     rows = _curve.sample(params, cfg.samples)
-    csv_lines = ["theta,L,R,rho,phi,beta,x,y,in_domain"]
-    json_rows = []
-    for r in rows:
-        flag = "true" if r.valid.in_domain else "false"
-        csv_lines.append(_CSV_ROW % (r.theta, r.L, r.R, r.rho, r.phi, r.beta, r.x, r.y, flag))
-        json_rows.append(
-            _JSON_ROW
-            % (
-                _json_number(r.L),
-                _json_number(r.R),
-                _json_number(r.beta),
-                flag,
-                _json_number(r.phi),
-                _json_number(r.rho),
-                _json_number(r.theta),
-                _json_number(r.x),
-                _json_number(r.y),
-            )
-        )
-    _write_atomic(cfg.out_dir, "samples.csv", "\n".join(csv_lines) + "\n")
+    csv_parts = ["theta,L,R,rho,phi,beta,x,y,in_domain\n"]
     # the params block goes through the encoder; "params" sorts before
     # "rows", so the rows array goes in place of the closing "\n}\n"
-    head = _dump_json({"params": _params_echo(cfg)})[:-3]
-    text = head + ',\n  "rows": [\n' + ",\n".join(json_rows) + "\n  ]\n}\n"
-    _write_atomic(cfg.out_dir, "samples.json", text)
+    json_parts = [_dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n']
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        csv_rows, json_rows = [], []
+        for theta, L, R, rho, phi, _, beta, x, y, valid in rows[start : start + _BLOCK_ROWS]:
+            flag = "true" if valid.in_domain else "false"
+            csv_rows.append(_CSV_ROW % (theta, L, R, rho, phi, beta, x, y, flag))
+            # a sum of finite values that overflows only sends the row the
+            # slow way, which writes it the same
+            if not math.isfinite(theta + L + R + rho + phi + beta + x + y):
+                L, R, beta, phi, rho, theta, x, y = map(_json_number, (L, R, beta, phi, rho, theta, x, y))
+            json_rows.append(_JSON_ROW % (L, R, beta, flag, phi, rho, theta, x, y))
+        csv_parts.append("".join(csv_rows))
+        json_parts.append((",\n" if start else "") + ",\n".join(json_rows))
+    del rows
+    json_parts.append("\n  ]\n}\n")
+    for name, parts in (("samples.csv", csv_parts), ("samples.json", json_parts)):
+        text = "".join(parts)
+        parts.clear()  # only the joined text is alive while it is written
+        _write_atomic(cfg.out_dir, name, text)
+        del text
     return 0
 
 
@@ -382,7 +384,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_svg(cfg: RunConfig) -> int:
     from . import lcg, svgplot
     params = _build_params(cfg)
-    good = [r for r in _curve.sample(params, cfg.samples) if r.valid.in_domain]
+    rows = _curve.sample(params, cfg.samples)
+    good = [r for r in rows if r.valid.in_domain]
     if not good:
         raise CliError(EXIT_CONFIG, "all samples are outside the curve domain; nothing to plot")
     if "svg-curve" in cfg.outputs:
@@ -392,7 +395,7 @@ def cmd_svg(cfg: RunConfig) -> int:
         text = svgplot.render_polyline([(r.theta, r.rho) for r in good], "radius of curvature")
         _write_atomic(cfg.out_dir, "rho.svg", text)
     if "svg-lcg" in cfg.outputs:
-        points = lcg.lcg_closed_form(params, cfg.samples)
+        points = lcg.lcg_points(params, rows)
         text = svgplot.render_polyline([(pt.x, pt.y) for pt in points], "logarithmic curvature graph")
         _write_atomic(cfg.out_dir, "lcg.svg", text)
     return 0

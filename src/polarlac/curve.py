@@ -152,6 +152,7 @@ class _Kernel(NamedTuple):
     arc: Callable[[float, float], float]  # (theta, u) -> L
     rho: Callable[[float], float]  # L -> rho
     point: Callable[[float], tuple[float, float, float, float]]  # theta -> (L, rho, phi, f')
+    rows: Callable[[list[float]], list[CurveSample]]  # thetas -> sample rows
 
 
 def _compile(p: CurveParams) -> _Kernel:
@@ -211,7 +212,28 @@ def _compile(p: CurveParams) -> _Kernel:
         L = arc(theta, (theta - theta0) + (v - phi0))
         return L, rho(L), v, d
 
-    return _Kernel(base, arc, rho, point)
+    def rows(thetas: list[float]) -> list[CurveSample]:
+        # point() and the row built from it, in one loop: a row that raises
+        # a row error is flagged, and no domain exit is looked for, since
+        # the flag is the same either way
+        out = []
+        append, new, evaluate = out.append, tuple.__new__, phi.eval_with_derivative
+        sin, cos = math.sin, math.cos
+        for theta in thetas:
+            try:
+                v, d = evaluate(theta)
+                L = arc(theta, (theta - theta0) + (v - phi0))
+                r = rho(L)
+            except ROW_ERRORS:
+                append(_invalid_sample(theta))
+                continue
+            monotone = 1.0 + d
+            R = r * monotone * sin(v)
+            valid = new(SampleValidity, (r > 0.0, R > 0.0, monotone > 0.0, True))
+            append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), valid)))
+        return out
+
+    return _Kernel(base, arc, rho, point, rows)
 
 
 def turn_angle(p: CurveParams, theta: float) -> float:
@@ -268,23 +290,11 @@ def _grid(p: CurveParams, count: int) -> list[float]:
     return thetas
 
 
-_NAN = float("nan")
-_INVALID = SampleValidity(False, False, False, False)
+_INVALID_TAIL = (float("nan"),) * 8 + (SampleValidity(False, False, False, False),)
 
 
 def _invalid_sample(theta: float) -> CurveSample:
-    return CurveSample(theta, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _INVALID)
-
-
-def _sample_at(p: CurveParams, theta: float) -> CurveSample:
-    try:
-        L, rho, phi, dphi = p._kernel.point(theta)
-    except ROW_ERRORS:
-        return _invalid_sample(theta)
-    monotone = 1.0 + dphi
-    R = rho * monotone * math.sin(phi)
-    valid = SampleValidity(rho > 0.0, R > 0.0, monotone > 0.0, True)
-    return CurveSample(theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), valid)
+    return tuple.__new__(CurveSample, (theta, *_INVALID_TAIL))
 
 
 def sample(p: CurveParams, count: int) -> list[CurveSample]:
@@ -294,7 +304,7 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     (including float overflow), come back flagged in_domain=False instead
     of aborting the batch.
     """
-    return [_sample_at(p, t) for t in _grid(p, count)]
+    return p._kernel.rows(_grid(p, count))
 
 
 def validate(p: CurveParams) -> ValidationReport:

@@ -17,7 +17,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import curve as _curve
-from .curve import ROW_ERRORS, CurveParams
+from .curve import ROW_ERRORS, CurveParams, CurveSample
 
 if TYPE_CHECKING:  # only an annotation reads it, so plotting loads no oracle
     from .diffgeo import OracleReport
@@ -43,22 +43,36 @@ class LcgLine(NamedTuple):
     count: int
 
 
-def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
-    """Graph points from the model: (ln rho, ln|n/a| + ln(aL + b)) on the
-    sampling grid, skipping every row that raises a row error: past the
-    domain boundary, rho or a logarithm out of range, phi not evaluable."""
-    scale = abs(p.n / p.a)
+def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
+    """Graph points from the model, (ln rho, ln|n/a| + ln(aL + b)), one per
+    sample row of ``p``, skipping every row that raises a row error: past
+    the domain boundary, rho or a logarithm out of range, phi not evaluable.
+
+    A row in domain gives its own L and rho.  A flagged row is evaluated
+    again from its theta: where phi has a value but no derivative, as
+    sqrt(theta) at 0, the row is flagged and yet L and rho exist.
+    """
+    scale, a, b = abs(p.n / p.a), p.a, p.b
+    new, log = tuple.__new__, math.log
     points = []
-    for theta in _curve._grid(p, count):
+    for row in rows:
         try:
-            L = _curve.arc_length(p, theta)
-            rho = _curve.radius_of_curvature(p, L)
+            if row.valid.in_domain:
+                L, rho = row.L, row.rho
+            else:
+                L = _curve.arc_length(p, row.theta)
+                rho = _curve.radius_of_curvature(p, L)
             if not rho > 0.0:  # 0 or NaN, and math.log(NaN) does not raise
                 continue
-            points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
+            points.append(new(LcgPoint, (log(rho), log(scale * (a * L + b)))))
         except ROW_ERRORS:
             continue
     return points
+
+
+def lcg_closed_form(p: CurveParams, count: int) -> list[LcgPoint]:
+    """Graph points from the model on the sampling grid of ``count`` rows."""
+    return lcg_points(p, _curve.sample(p, count))
 
 
 def lcg_numeric(report: OracleReport) -> list[LcgPoint]:

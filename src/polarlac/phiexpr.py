@@ -356,8 +356,16 @@ def _sqrt_dual(v: float, av: float, ad: float, node: Node) -> tuple[float, float
 _HELPERS = {
     f.__name__: f
     for f in (_check_finite, _div_value, _pow_value, _pow_derivative, _sqrt_value, _sqrt_dual,
-              _ln_value, _exp_value, math.sin, math.cos)
+              _ln_value, _exp_value, math.isfinite, math.sin, math.cos)
 }
+
+
+def _finite(target: str, expression: str, what: str = "value") -> str:
+    # a statement that sets target and tests it inline: the call to
+    # _check_finite, which raises the error, runs only for a non-finite result
+    check = f"if not isfinite({target}):\n    _check_finite({target}, {{n}}, '{what}')"
+    return f"{target} = {expression}\n{check}"
+
 
 # Evaluation rules, one per operator and function: the statement that sets
 # the node's value {v}, and the statement that sets its derivative {d} after
@@ -365,20 +373,14 @@ _HELPERS = {
 # and {rd} those of the left and right operands; {n} is the node.
 _RULES = {
     "neg": ("{v} = -{a}", "{d} = -{ad}"),
-    "+": ("{v} = _check_finite({l} + {r}, {n})", "{d} = {ld} + {rd}"),
-    "-": ("{v} = _check_finite({l} - {r}, {n})", "{d} = {ld} - {rd}"),
-    "*": (
-        "{v} = _check_finite({l} * {r}, {n})",
-        "{d} = _check_finite({ld} * {r} + {l} * {rd}, {n}, 'derivative')",
-    ),
-    "/": (
-        "{v} = _div_value({l}, {r}, {n})",
-        "{d} = _check_finite(({ld} - {v} * {rd}) / {r}, {n}, 'derivative')",
-    ),
+    "+": (_finite("{v}", "{l} + {r}"), "{d} = {ld} + {rd}"),
+    "-": (_finite("{v}", "{l} - {r}"), "{d} = {ld} - {rd}"),
+    "*": (_finite("{v}", "{l} * {r}"), _finite("{d}", "{ld} * {r} + {l} * {rd}", "derivative")),
+    "/": ("{v} = _div_value({l}, {r}, {n})", _finite("{d}", "({ld} - {v} * {rd}) / {r}", "derivative")),
     "^": ("{v} = _pow_value({l}, {r}, {n})", "{d} = _pow_derivative({v}, {l}, {ld}, {r}, {rd}, {n})"),
     "sqrt": ("{v} = _sqrt_value({a}, {n})", "{v}, {d} = _sqrt_dual({v}, {a}, {ad}, {n})"),
     "ln": ("{v} = _ln_value({a}, {n})", "{d} = {ad} / {a}"),
-    "exp": ("{v} = _exp_value({a}, {n})", "{d} = _check_finite({v} * {ad}, {n}, 'derivative')"),
+    "exp": ("{v} = _exp_value({a}, {n})", _finite("{d}", "{v} * {ad}", "derivative")),
     "sin": ("{v} = sin({a})", "{d} = cos({a}) * {ad}"),
     "cos": ("{v} = cos({a})", "{d} = -sin({a}) * {ad}"),
 }
@@ -437,7 +439,9 @@ def _generate(ast: Node, dual: bool) -> Callable:
     lines: list[str] = []
     v, d = _emit(ast, dual, names, lines)
     lines.append(f"return {v}, {d}" if dual else f"return {v}")
-    source = "def phi(theta):\n" + "".join(f"    {line}\n" for line in lines)
+    # a statement may span lines; each line is indented into the body
+    body = "\n".join(lines).replace("\n", "\n    ")
+    source = f"def phi(theta):\n    {body}\n"
     exec(compile(source, "<phi>", "exec"), names)
     return names["phi"]
 

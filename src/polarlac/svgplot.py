@@ -36,11 +36,15 @@ def _padded_range(lo: float, hi: float) -> tuple[float, float]:
 def render_polyline(points: list[tuple[float, float]], subject: str = "plot") -> str:
     """Render finite points as one polyline; raises NothingToPlot, naming
     the ``subject``, when no finite point is available to define a view."""
-    finite = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+    finite = [pt for pt in points if math.isfinite(pt[0]) and math.isfinite(pt[1])]
     if not finite:
         raise NothingToPlot(f"{subject} degenerated: no finite points to plot")
-    x0, x1 = _padded_range(min(x for x, _ in finite), max(x for x, _ in finite))
-    y0, y1 = _padded_range(min(y for _, y in finite), max(y for _, y in finite))
+    # not zip(*finite), which allocates an iterator per point: the garbage
+    # collections that sets off include full ones, over every row alive
+    xs = [x for x, _ in finite]
+    ys = [y for _, y in finite]
+    x0, x1 = _padded_range(min(xs), max(xs))
+    y0, y1 = _padded_range(min(ys), max(ys))
 
     def px(x: float) -> float:
         return (x - x0) / (x1 - x0) * _WIDTH

@@ -57,6 +57,26 @@ def params(n, a=1.0, b=1.0, theta0=0.0, theta1=15.0, phi="pi/2"):
     return CurveParams(n, a, b, theta0, theta1, parse(phi))
 
 
+# a curve with no flagged row and curves whose rows are flagged each way a
+# row can be, with the row count each is sampled at:
+# (id, CurveParams arguments, count)
+ROW_MODEL_CASES = [
+    ("n-1", (1.0, 1.0, 1.0, 0.0, 15.0, "0.01*theta + 0.3"), 64),
+    ("n-2-past-domain", (2.0, -1.0, 1.0, 0.0, 5.0, "pi/8"), 64),
+    # phi has a value at theta0 = 0 but no derivative: the row is flagged,
+    # and yet its graph point exists
+    ("sqrt-at-0", (2.0, 1.0, 1.0, 0.0, 5.0, "sqrt(theta) + 0.6"), 8),
+    ("b-overflow", (0.5, 1.0, 1e300, 0.0, 1.0, "theta"), 2),
+    # a*(n - 1) underflows to 0 and the turn overflows at theta1, so rho is NaN
+    ("nan-rho", (1.25, 5e-324, 1, -1, 1, "1e308*theta"), 5),
+]
+
+
+def row_model_case(args: tuple) -> CurveParams:
+    *numbers, phi = args
+    return CurveParams(*numbers, parse(phi))
+
+
 @pytest.fixture
 def fig4():
     return params(1.0)

@@ -9,6 +9,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -142,7 +143,8 @@ class TestSampleCommand:
         rng = random.Random(20261018)
         pool += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(64)]
         rows = []
-        for i in range(3 * len(pool)):
+        # past two blocks, so that blocks join as rows do
+        for i in range(2 * cli._BLOCK_ROWS + 3 * len(pool)):
             if i % 5 == 4:
                 rows.append(curve._invalid_sample(pool[i % len(pool)]))
                 continue
@@ -170,6 +172,27 @@ class TestSampleCommand:
         }
         assert (tmp_path / "samples.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         assert (tmp_path / "samples.json").read_bytes() == cli._dump_json(payload).encode()
+
+    def test_memory_per_row_stays_bounded(self, tmp_path):
+        # formatted a block of rows at a time; holding every row's CSV and
+        # JSON strings until the end took about 1,550 bytes a row
+        argv = ["sample", "--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3", "--out", str(tmp_path)]
+        assert main([*argv, "--samples", "64"]) == 0  # imports what a run loads
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--samples", "16384"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / 16384 < 1100
+
+    def test_large_text_round_trips(self, tmp_path):
+        text = "".join(f"{i},{i / 7!r}\n" for i in range(200_000))
+        assert len(text) > 3 * 2**20
+        cli._write_atomic(str(tmp_path), "big.csv", text)
+        assert (tmp_path / "big.csv").read_bytes() == text.encode()
+        assert os.listdir(tmp_path) == ["big.csv"]
 
     def test_diagnostics_plain_when_not_a_tty(self, tmp_path, capsys):
         run(["--n", "1", "--theta1", "15", "--phi", "theta +"], tmp_path)

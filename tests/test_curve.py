@@ -18,7 +18,7 @@ from polarlac import (
 )
 from polarlac import curve
 from polarlac.phiexpr import EvalDomainError
-from conftest import params
+from conftest import ROW_MODEL_CASES, params, row_model_case
 
 
 class TestCurveParams:
@@ -514,6 +514,33 @@ def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, e
         assert _bits(row) == _bits(_ref_sample_row(p, r.theta))
     for L in (-2.0 * b / a, -b / a, 0.0, 0.5, 1e3):
         assert _outcome(radius_of_curvature, p, L) == _outcome(_ref_rho, p, L), L
+
+
+def _sample_by_point(p, count):
+    # sample() as one kernel.point call per theta, the way it was before
+    # its loop was fused
+    rows = []
+    for theta in curve._grid(p, count):
+        try:
+            L, rho, phi, dphi = p._kernel.point(theta)
+        except curve.ROW_ERRORS:
+            rows.append(curve.CurveSample(theta, *[math.nan] * 8, curve.SampleValidity(False, False, False, False)))
+            continue
+        monotone = 1.0 + dphi
+        R = rho * monotone * math.sin(phi)
+        valid = curve.SampleValidity(rho > 0.0, R > 0.0, monotone > 0.0, True)
+        rows.append(
+            curve.CurveSample(theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), valid)
+        )
+    return rows
+
+
+@pytest.mark.parametrize("args,count", [case[1:] for case in ROW_MODEL_CASES], ids=[c[0] for c in ROW_MODEL_CASES])
+def test_sample_matches_the_per_theta_point_loop(args, count):
+    p = row_model_case(args)
+    rows = sample(p, count)
+    assert all(type(r) is curve.CurveSample and type(r.valid) is curve.SampleValidity for r in rows)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in _sample_by_point(p, count)]
 
 
 @pytest.mark.parametrize("n,theta1,theta", [(-1.0, 15.0, -0.6), (0.5, 2.0, 1.5), (2.0, 5.0, 3.0)])

@@ -10,10 +10,13 @@ from polarlac import (
     compare,
     lcg_closed_form,
     lcg_numeric,
+    lcg_points,
     linear_fit,
+    sample,
 )
 from polarlac.diffgeo import OracleReport, OracleRow, ResidualSummary
-from conftest import params
+from polarlac import curve
+from conftest import ROW_MODEL_CASES, params, row_model_case
 
 
 class TestLcgClosedForm:
@@ -63,6 +66,41 @@ class TestLcgClosedForm:
         points = lcg_closed_form(p, 5)
         assert len(points) == 4
         assert all(pt.x == pt.x for pt in points)
+
+
+def _lcg_by_theta(p, count):
+    # the graph as it was computed before it was taken from the sample rows:
+    # arc length and rho evaluated again at each theta
+    scale = abs(p.n / p.a)
+    points = []
+    for theta in curve._grid(p, count):
+        try:
+            L = curve.arc_length(p, theta)
+            rho = curve.radius_of_curvature(p, L)
+            if not rho > 0.0:
+                continue
+            points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
+        except curve.ROW_ERRORS:
+            continue
+    return points
+
+
+@pytest.mark.parametrize("args,count", [case[1:] for case in ROW_MODEL_CASES], ids=[c[0] for c in ROW_MODEL_CASES])
+def test_points_from_rows_match_the_per_theta_graph(args, count):
+    p = row_model_case(args)
+    points = lcg_points(p, sample(p, count))
+    assert all(type(pt) is LcgPoint for pt in points)
+    assert repr(points) == repr(_lcg_by_theta(p, count))
+    assert lcg_closed_form(p, count) == points
+
+
+def test_a_flagged_row_keeps_its_graph_point():
+    # f' is unbounded at theta0 = 0, so sample() flags row 0; the graph
+    # still has its point, as it had before it was built from the rows
+    p = params(2.0, theta0=0.0, theta1=5.0, phi="sqrt(theta) + 0.6")
+    rows = sample(p, 8)
+    assert [r.valid.in_domain for r in rows] == [False] + [True] * 7
+    assert len(lcg_points(p, rows)) == 8
 
 
 def _synthetic_report(rhos, step=0.1):
