@@ -95,6 +95,8 @@ class CurveParams(Record):
             raise InvalidParameters("b must be positive")
         if not self.theta1 > self.theta0:
             raise InvalidParameters("theta1 must exceed theta0")
+        if not math.isfinite(self.theta1 - self.theta0):
+            raise InvalidParameters("theta1 - theta0 must be a finite number")
         try:
             phi0 = self.phi.value(self.theta0)
         except EvalDomainError as exc:
@@ -110,10 +112,11 @@ class CurveParams(Record):
 
 
 class SampleValidity(NamedTuple):
-    rho_positive: bool
-    radius_positive: bool
-    monotone_factor_positive: bool
     in_domain: bool
+
+
+# every row points at one of these two, so the row loop builds no flag
+IN_DOMAIN, FLAGGED = SampleValidity(True), SampleValidity(False)
 
 
 class CurveSample(NamedTuple):
@@ -214,23 +217,20 @@ def _compile(p: CurveParams) -> _Kernel:
 
     def rows(thetas: list[float]) -> list[CurveSample]:
         # point() and the row built from it, in one loop: a row that raises
-        # a row error is flagged, and no domain exit is looked for, since
-        # the flag is the same either way
+        # a row error anywhere, cos(inf) included, is flagged, and no domain
+        # exit is looked for, since the flag is the same either way
         out = []
         append, new, evaluate = out.append, tuple.__new__, phi.eval_with_derivative
-        sin, cos = math.sin, math.cos
+        sin, cos, in_domain = math.sin, math.cos, IN_DOMAIN
         for theta in thetas:
             try:
                 v, d = evaluate(theta)
                 L = arc(theta, (theta - theta0) + (v - phi0))
                 r = rho(L)
+                R = r * (1.0 + d) * sin(v)
+                append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
             except ROW_ERRORS:
                 append(_invalid_sample(theta))
-                continue
-            monotone = 1.0 + d
-            R = r * monotone * sin(v)
-            valid = new(SampleValidity, (r > 0.0, R > 0.0, monotone > 0.0, True))
-            append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), valid)))
         return out
 
     return _Kernel(base, arc, rho, point, rows)
@@ -290,7 +290,7 @@ def _grid(p: CurveParams, count: int) -> list[float]:
     return thetas
 
 
-_INVALID_TAIL = (float("nan"),) * 8 + (SampleValidity(False, False, False, False),)
+_INVALID_TAIL = (float("nan"),) * 8 + (FLAGGED,)
 
 
 def _invalid_sample(theta: float) -> CurveSample:
@@ -301,8 +301,8 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     """Evaluate the curve on a uniform theta grid.
 
     Rows past the domain boundary, or where rho or phi cannot be evaluated
-    (including float overflow), come back flagged in_domain=False instead
-    of aborting the batch.
+    (including float overflow), come back flagged instead of aborting the
+    batch: each row's ``valid`` is the shared IN_DOMAIN or FLAGGED.
     """
     return p._kernel.rows(_grid(p, count))
 
@@ -311,13 +311,13 @@ def validate(p: CurveParams) -> ValidationReport:
     """Check the positivity conditions on a 1024-point grid.
 
     Conditions other than in_domain are judged only where the sample is
-    evaluable; the first violating theta is recorded per condition.
+    evaluable, from the row's own rho, R, f' and phi; the first violating
+    theta is recorded per condition.
     """
     first: dict[str, float | None] = dict.fromkeys(ValidationReport._fields)
     for row in sample(p, _GRID):
-        v = row.valid
-        if v.in_domain:
-            held = (True, v.rho_positive, v.radius_positive, v.monotone_factor_positive, math.sin(row.phi) > 0.0)
+        if row.valid.in_domain:
+            held = (True, row.rho > 0.0, row.R > 0.0, 1.0 + row.dphi > 0.0, math.sin(row.phi) > 0.0)
         else:
             held = (False,)  # judged on in_domain alone
         for key, ok in zip(first, held):

@@ -13,7 +13,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import curve as _curve
-from .curve import ROW_ERRORS, CurveParams, NonpositiveRho, turn_angle
+from .curve import ROW_ERRORS, CurveParams, CurveSample, NonpositiveRho, turn_angle
 
 _DEGENERATE_FLOOR = 1e-24
 _SIMPSON_TOL = 1e-10
@@ -280,12 +280,15 @@ class ResidualSummary(NamedTuple):
 
 
 class OracleReport(NamedTuple):
+    """What ``compare`` measured, and the closed-form rows it measured against."""
+
     rows: list[OracleRow]
     rho_residual: ResidualSummary       # |rho_numeric - rho_closed| / |rho_closed|
     phi_residual: ResidualSummary       # angular distance mod pi, absolute
     arc_residual: ResidualSummary       # |s_numeric - L_closed| / max(|L_closed|, 1e-12)
     ode_residual: ResidualSummary       # |L_ode - L_closed| / max(|L_closed|, 1e-12)
     degenerate_rows: int
+    samples: list[CurveSample]          # curve.sample's rows, one per oracle row
 
 
 def _summary(values: list[float]) -> ResidualSummary:
@@ -307,7 +310,8 @@ def compare(p: CurveParams, count: int) -> OracleReport:
     forms.  Rows where the numeric side is not measurable (endpoint domain
     failures, degenerate points, failed quadrature segments) are flagged
     degenerate and excluded from the residual summaries rather than
-    aborting the run."""
+    aborting the run.  The closed-form rows come back as ``samples``, for
+    ``lcg.lcg_points`` to draw the graph from without sampling again."""
     closed = _curve.sample(p, count)
 
     # the stencils and the two Simpson segments ending at a grid theta all
@@ -394,4 +398,5 @@ def compare(p: CurveParams, count: int) -> OracleReport:
         arc_residual=_summary(arc_res),
         ode_residual=_summary(ode_res),
         degenerate_rows=degenerate_count,
+        samples=closed,
     )

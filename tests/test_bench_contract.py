@@ -1,0 +1,48 @@
+"""The contract between the package and the benchmark's tracer.
+
+``bench/tracer.py`` wraps the package's public functions by name and reads
+fields of what they return.  Two traced passes over one run of each
+subcommand must count the same, the Simpson and stencil shares of the R
+calls must add up to the total, and each run must make one closed-form
+pass.  ``bench/smoke.py`` checks the same on every workload, in about 30 s;
+this test takes about 0.1 s.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from polarlac import cli, diffgeo, lcg, svgplot  # noqa: F401
+
+# Tracer.install rebinds functions only in modules already loaded, and cli
+# loads its layers lazily, so they are imported above
+
+_TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+_spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+FIG = ["--n", "2", "--theta1", "5", "--phi", "pi/8", "--samples", "16"]
+SUBCOMMANDS = ("lcg", "verify", "sample", "svg")
+
+
+def _traced_pass(out):
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for sub in SUBCOMMANDS:
+            assert cli.main([sub, *FIG, "--out", str(out)]) == 0
+    finally:
+        t.uninstall()
+    return t
+
+
+def test_traced_counts_repeat_and_add_up(tmp_path):
+    first = _traced_pass(tmp_path)
+    second = _traced_pass(tmp_path)
+    assert first.counts() == second.counts()
+    m = first.metrics(runs=len(SUBCOMMANDS), rows=16 * len(SUBCOMMANDS))
+    assert m["curve.radius_at_calls_per_row"] > 0
+    split = m["diffgeo.simpson_r_calls_per_row"] + m["diffgeo.stencil_r_calls_per_row"]
+    assert abs(split - m["curve.radius_at_calls_per_row"]) < 1e-9
+    assert m["curve.closed_passes_per_run"] == 1.0
+    assert cli.main.__module__ == "polarlac.cli"  # the wrappers were taken out again

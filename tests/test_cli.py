@@ -149,7 +149,7 @@ class TestSampleCommand:
                 rows.append(curve._invalid_sample(pool[i % len(pool)]))
                 continue
             v = [pool[(i + 7 * k) % len(pool)] for k in range(9)]
-            valid = curve.SampleValidity(i % 2 == 0, i % 3 == 0, True, i % 7 != 3)
+            valid = curve.SampleValidity(i % 7 != 3)
             rows.append(curve.CurveSample(*v, valid))
         monkeypatch.setattr(curve, "sample", lambda p, count: rows)
 
@@ -361,6 +361,62 @@ class TestVerifyCommand:
         assert data["residuals"]["ode_vs_closed"]["max"] <= 1e-8
 
 
+    def test_no_measurable_ode_row_fails_the_ode_check(self, tmp_path, monkeypatch):
+        # the residual maximum over no row is NaN: the check is written with
+        # a null value, fails, and fails the run
+        compare = diffgeo.compare
+
+        def no_ode_rows(p, count):
+            return compare(p, count)._replace(ode_residual=diffgeo.ResidualSummary(math.nan, math.nan, 0))
+
+        monkeypatch.setattr(diffgeo, "compare", no_ode_rows)
+        assert run(FIG4, tmp_path, sub="verify", extra=("--samples", "16")) == 1
+        checks = read_json(tmp_path, "verify.json")["checks"]
+        assert checks[0] == {"name": "ode_vs_closed_arc_length", "value": None, "tolerance": 1e-8,
+                             "hard": True, "passed": False}
+
+
+@pytest.mark.parametrize("sub", ["lcg", "verify"])
+def test_one_closed_form_pass_per_run(tmp_path, monkeypatch, sub):
+    # the oracle samples the grid, and the closed-form graph is drawn from
+    # the rows it sampled
+    calls = []
+    sample = curve.sample
+
+    def counting(p, count):
+        calls.append(count)
+        return sample(p, count)
+
+    monkeypatch.setattr(curve, "sample", counting)
+    assert run(FIG4, tmp_path, sub=sub, extra=("--samples", "16")) == 0
+    assert calls == [16]
+
+
+def test_an_infinite_span_is_an_invalid_parameter(tmp_path):
+    proc = run_process(["sample", "--n", "1", "--theta0=-1e308", "--theta1", "1e308", "--phi", "pi/2"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid parameters: theta1 - theta0 must be a finite number\n"
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 400 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path):
+    # 20,000,000 grid rows do not fit in 400 MB of address space; the limit
+    # applies to the child process alone
+    argv = ["svg", "--n", "2", "--theta1", "5", "--phi", "pi/8", "--samples", "20000000", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarlac", *argv], capture_output=True, text=True, preexec_fn=_limit_address_space
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: run too large for available memory"]
+
+
 @pytest.mark.parametrize("sub", ["lcg", "verify"])
 def test_turn_that_never_increases_exits_2(tmp_path, sub):
     proc = run_process([sub, "--n", "1", "--theta1", "5", "--phi", "0 - theta"], tmp_path)
@@ -433,6 +489,7 @@ def test_numeric_edges_end_in_a_documented_code(tmp_path, argv, code):
         (diffgeo.OdeBlowUp(1.0, 2.0), 2, str(diffgeo.OdeBlowUp(1.0, 2.0))),
         (OverflowError("x"), 2, "x"),
         (ValueError("x"), 2, "x"),
+        (MemoryError(), 2, "run too large for available memory"),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
 )

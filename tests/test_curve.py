@@ -47,6 +47,10 @@ class TestCurveParams:
             params(math.nan)
         with pytest.raises(curve.InvalidParameters):
             params(1.0, theta1=math.inf)
+        # both ends are finite, their difference is not: the grid would be
+        # [nan, inf, 1e308], and cos(inf) would raise past the row guard
+        with pytest.raises(curve.InvalidParameters, match="theta1 - theta0"):
+            params(1.0, theta0=-1e308, theta1=1e308)
 
     def test_rejects_phi_unevaluable_at_start(self):
         with pytest.raises(curve.InvalidParameters, match="phi"):
@@ -207,8 +211,10 @@ class TestSample:
         assert bad.theta == 5.0
         for name in ("L", "R", "rho", "phi", "dphi", "beta", "x", "y"):
             assert math.isnan(getattr(bad, name))
-        assert not bad.valid.rho_positive
-        assert not bad.valid.radius_positive
+        assert bad.valid is curve.FLAGGED
+        # the conditions validate() reads from a row do not hold on NaN
+        assert not bad.rho > 0.0
+        assert not bad.R > 0.0
 
     def test_interior_domain_boundary(self):
         p = params(0.5, theta1=2.0)
@@ -239,6 +245,15 @@ class TestSample:
         # L = expm1(2 theta) overflows once 2 theta passes about 709.8
         p = params(1.0, theta1=400.0, phi="theta")
         assert [r.valid.in_domain for r in sample(p, 5)] == [True, True, True, True, False]
+
+    def test_a_grid_theta_that_overflows_is_flagged(self):
+        # the span is finite, but 2 * 1e308 on the way to the third grid
+        # theta is not; that row is flagged like any row that cannot be
+        # evaluated, not raised from cos(inf)
+        p = params(1.0, theta1=1e308)
+        rows = sample(p, 4)
+        assert rows[2].theta == math.inf
+        assert [r.valid.in_domain for r in rows] == [True, False, False, False]
 
     def test_cartesian_identities(self, fig5):
         for r in sample(fig5, 33):
@@ -508,8 +523,8 @@ def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, e
         assert _outcome(arc_length, p, theta) == _outcome(_ref_arc_length, p, theta), theta
         assert _outcome(radius_at, p, theta) == _outcome(_ref_radius_at, p, theta), theta
     for r in sample(p, count):
-        v = r.valid
-        flags = (v.rho_positive, v.radius_positive, v.monotone_factor_positive, v.in_domain)
+        # the conditions validate() judges, read from the row as it does
+        flags = (r.rho > 0.0, r.R > 0.0, 1.0 + r.dphi > 0.0, r.valid.in_domain)
         row = (r.theta, r.L, r.R, r.rho, r.phi, r.dphi, r.beta, r.x, r.y, flags)
         assert _bits(row) == _bits(_ref_sample_row(p, r.theta))
     for L in (-2.0 * b / a, -b / a, 0.0, 0.5, 1e3):
@@ -524,11 +539,11 @@ def _sample_by_point(p, count):
         try:
             L, rho, phi, dphi = p._kernel.point(theta)
         except curve.ROW_ERRORS:
-            rows.append(curve.CurveSample(theta, *[math.nan] * 8, curve.SampleValidity(False, False, False, False)))
+            rows.append(curve.CurveSample(theta, *[math.nan] * 8, curve.SampleValidity(False)))
             continue
         monotone = 1.0 + dphi
         R = rho * monotone * math.sin(phi)
-        valid = curve.SampleValidity(rho > 0.0, R > 0.0, monotone > 0.0, True)
+        valid = curve.SampleValidity(True)
         rows.append(
             curve.CurveSample(theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), valid)
         )
@@ -541,6 +556,13 @@ def test_sample_matches_the_per_theta_point_loop(args, count):
     rows = sample(p, count)
     assert all(type(r) is curve.CurveSample and type(r.valid) is curve.SampleValidity for r in rows)
     assert [_bits(r) for r in rows] == [_bits(r) for r in _sample_by_point(p, count)]
+
+
+@pytest.mark.parametrize("args,count", [case[1:] for case in ROW_MODEL_CASES], ids=[c[0] for c in ROW_MODEL_CASES])
+def test_every_row_shares_one_of_two_flags(args, count):
+    rows = sample(row_model_case(args), count)
+    assert curve.IN_DOMAIN == (True,) and curve.FLAGGED == (False,)
+    assert all(r.valid is (curve.IN_DOMAIN if r.valid.in_domain else curve.FLAGGED) for r in rows)
 
 
 @pytest.mark.parametrize("n,theta1,theta", [(-1.0, 15.0, -0.6), (0.5, 2.0, 1.5), (2.0, 5.0, 3.0)])

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import pytest
@@ -16,7 +17,12 @@ from polarlac import (
 from polarlac import curve, diffgeo
 from polarlac.diffgeo import DegeneratePoint, ToleranceNotMet
 from polarlac.phiexpr import PhiFunction
-from conftest import params
+from conftest import ROW_MODEL_CASES, params, row_model_case
+
+
+def _bits(row):
+    # floats by their bit pattern, so -0.0 and NaN payloads count
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in row)
 
 
 def offset_circle(theta):
@@ -234,6 +240,15 @@ class TestCompare:
             tracemalloc.stop()
         assert report.degenerate_rows == 7
         assert peak < 2_000_000
+
+    # the row-model cases the oracle can re-integrate; the others end in OdeBlowUp
+    @pytest.mark.parametrize("case", ["n-1", "sqrt-at-0"])
+    def test_samples_are_the_closed_form_rows(self, case):
+        _, args, count = next(c for c in ROW_MODEL_CASES if c[0] == case)
+        p = row_model_case(args)
+        report = compare(p, count)
+        assert [_bits(r) for r in report.samples] == [_bits(r) for r in curve.sample(p, count)]
+        assert [r.theta for r in report.samples] == [r.theta for r in report.rows]
 
     def test_row_columns_join_closed_and_numeric(self, fig4):
         report = compare(fig4, 16)

@@ -127,6 +127,7 @@ def _synthetic_report(rhos, step=0.1):
         arc_residual=empty,
         ode_residual=empty,
         degenerate_rows=0,
+        samples=[],  # lcg_numeric reads only the oracle rows
     )
 
 
