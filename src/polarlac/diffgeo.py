@@ -50,32 +50,32 @@ def default_step(theta: float) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
-def numeric_curvature(R: Callable[[float], float], theta: float, h: float | None = None) -> float:
-    """Signed curvature of the polar trace from second-order stencils:
-
-    kappa = (R^2 + 2 R'^2 - R R'') / (R^2 + R'^2)^(3/2)
-    """
+def _stencil(R: Callable[[float], float], theta: float, h: float | None) -> tuple[float, float, float]:
+    # R, R' and R'' at theta from one three-point central difference
     if h is None:
         h = default_step(theta)
     r_minus = R(theta - h)
     r0 = R(theta)
     r_plus = R(theta + h)
     rp = (r_plus - r_minus) / (2.0 * h)
-    rpp = (r_plus - 2.0 * r0 + r_minus) / (h * h)
-    denom = r0 * r0 + rp * rp
-    if denom < _DEGENERATE_FLOOR:
+    if r0 * r0 + rp * rp < _DEGENERATE_FLOOR:
         raise DegeneratePoint(f"R and R' vanish near theta={theta!r}")
+    return r0, rp, (r_plus - 2.0 * r0 + r_minus) / (h * h)
+
+
+def numeric_curvature(R: Callable[[float], float], theta: float, h: float | None = None) -> float:
+    """Signed curvature of the polar trace from second-order stencils:
+
+    kappa = (R^2 + 2 R'^2 - R R'') / (R^2 + R'^2)^(3/2)
+    """
+    r0, rp, rpp = _stencil(R, theta, h)
+    denom = r0 * r0 + rp * rp
     return (denom + rp * rp - r0 * rpp) / denom ** 1.5
 
 
 def numeric_phi(R: Callable[[float], float], theta: float, h: float | None = None) -> float:
     """Actual tangential angle atan2(R, R'), folded into (0, pi]."""
-    if h is None:
-        h = default_step(theta)
-    r0 = R(theta)
-    rp = (R(theta + h) - R(theta - h)) / (2.0 * h)
-    if r0 * r0 + rp * rp < _DEGENERATE_FLOOR:
-        raise DegeneratePoint(f"R and R' vanish near theta={theta!r}")
+    r0, rp, _ = _stencil(R, theta, h)
     v = math.atan2(r0, rp) % math.pi
     if v == 0.0:
         v = math.pi
@@ -153,37 +153,6 @@ def _theta_of_turn(p: CurveParams, u_target: float) -> float:
     return lo
 
 
-class _DenseOde:
-    """Dense output of the arc-length integration, cubic Hermite per step."""
-
-    def __init__(self, p: CurveParams, us, Ls, slopes):
-        self._p = p
-        self._us = us
-        self._Ls = Ls
-        self._slopes = slopes
-        self._du = us[1] - us[0]
-        self._u_total = us[-1]
-
-    def __call__(self, theta: float) -> float:
-        u = turn_angle(self._p, theta)
-        slack = 1e-9 * max(1.0, abs(self._u_total))
-        if u < -slack or u > self._u_total + slack:
-            raise ValueError(f"theta={theta!r} is outside the integrated range")
-        u = min(max(u, 0.0), self._u_total)
-        k = min(int(u / self._du), len(self._us) - 2)
-        t = (u - self._us[k]) / self._du
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        return (
-            h00 * self._Ls[k]
-            + h10 * self._du * self._slopes[k]
-            + h01 * self._Ls[k + 1]
-            + h11 * self._du * self._slopes[k + 1]
-        )
-
-
 def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
     """Re-integrate dL = rho d(beta) with a classical fourth-order scheme.
 
@@ -258,18 +227,35 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
                 Ls.append(L)
     except (OverflowError, NonpositiveRho):
         raise OdeBlowUp(_theta_of_turn(p, us[k]), Ls[-1]) from None
-    return _DenseOde(p, us, Ls, slopes)
+
+    slack = 1e-9 * max(1.0, abs(u_total))
+
+    def dense(theta: float) -> float:
+        # cubic Hermite interpolation in u on the step that holds theta
+        u = turn_angle(p, theta)
+        if u < -slack or u > u_total + slack:
+            raise ValueError(f"theta={theta!r} is outside the integrated range")
+        u = min(max(u, 0.0), u_total)
+        k = min(int(u / du), steps - 1)
+        t = (u - us[k]) / du
+        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+        h10 = t * (1.0 - t) ** 2
+        h01 = t * t * (3.0 - 2.0 * t)
+        h11 = t * t * (t - 1.0)
+        return h00 * Ls[k] + h10 * du * slopes[k] + h01 * Ls[k + 1] + h11 * du * slopes[k + 1]
+
+    return dense
 
 
 class OracleRow(NamedTuple):
+    """What the oracle measured at one grid theta, from R(theta) alone; the
+    closed-form side of ``report.rows[i]`` is ``report.samples[i]``."""
+
     theta: float
     kappa_numeric: float
     rho_numeric: float
     s_numeric: float
     phi_actual: float
-    L_closed: float
-    rho_closed: float
-    phi_prescribed: float
     degenerate: bool
 
 
@@ -280,13 +266,14 @@ class ResidualSummary(NamedTuple):
 
 
 class OracleReport(NamedTuple):
-    """What ``compare`` measured, and the closed-form rows it measured against."""
+    """What ``compare`` measured, and the closed-form rows it measured
+    against: ``rows[i]`` and ``samples[i]`` are the same grid theta."""
 
     rows: list[OracleRow]
-    rho_residual: ResidualSummary       # |rho_numeric - rho_closed| / |rho_closed|
-    phi_residual: ResidualSummary       # angular distance mod pi, absolute
-    arc_residual: ResidualSummary       # |s_numeric - L_closed| / max(|L_closed|, 1e-12)
-    ode_residual: ResidualSummary       # |L_ode - L_closed| / max(|L_closed|, 1e-12)
+    rho_residual: ResidualSummary       # |rho_numeric - rho| / |rho|
+    phi_residual: ResidualSummary       # angular distance mod pi from the prescribed phi, absolute
+    arc_residual: ResidualSummary       # |s_numeric - L| / max(|L|, 1e-12)
+    ode_residual: ResidualSummary       # |L_ode - L| / max(|L|, 1e-12)
     degenerate_rows: int
     samples: list[CurveSample]          # curve.sample's rows, one per oracle row
 
@@ -307,22 +294,23 @@ def _angle_distance_mod_pi(x: float, y: float) -> float:
 
 def compare(p: CurveParams, count: int) -> OracleReport:
     """Run the full oracle on the sample grid and join it with the closed
-    forms.  Rows where the numeric side is not measurable (endpoint domain
-    failures, degenerate points, failed quadrature segments) are flagged
-    degenerate and excluded from the residual summaries rather than
-    aborting the run.  The closed-form rows come back as ``samples``, for
-    ``lcg.lcg_points`` to draw the graph from without sampling again."""
+    forms.  The oracle measures R(theta) alone; L, rho and the prescribed
+    phi of each row come from ``curve.sample``'s row at the same theta,
+    returned as ``samples`` for ``lcg.lcg_points`` to draw the graph from
+    without sampling again.  Rows where the numeric side is not measurable
+    (endpoint domain failures, degenerate points, failed quadrature
+    segments) are flagged degenerate and excluded from the residual
+    summaries rather than aborting the run."""
     closed = _curve.sample(p, count)
+    thetas = [row.theta for row in closed]
 
     # the stencils and the two Simpson segments ending at a grid theta all
-    # ask for R at theta and at theta +- default_step(theta); keeping those
-    # values, and only those, evaluates each of them once in bounded memory
-    thetas = [row.theta for row in closed]
-    shared = set(thetas)
-    for t in thetas:
-        h = default_step(t)
-        shared.update((t - h, t + h))
-    known: dict[float, float] = {}
+    # ask for R at theta and at theta +- default_step(theta).  An in-domain
+    # row already holds R(theta), bitwise what radius_at gives; R at
+    # theta +- h is kept when first evaluated, and nothing else is, so each
+    # of these values is evaluated at most once, in bounded memory
+    known = {c.theta: c.R for c in closed if c.valid.in_domain}
+    shared = {t + s * default_step(t) for t in thetas for s in (-1.0, 1.0)}
 
     def R(t: float) -> float:
         r = known.get(t)
@@ -361,10 +349,6 @@ def compare(p: CurveParams, count: int) -> OracleReport:
             kappa = math.nan
             phi_act = math.nan
             rho_num = math.nan
-        try:
-            phi_presc = p.phi.value(theta)
-        except ROW_ERRORS:
-            phi_presc = math.nan
 
         degenerate = not (
             c.valid.in_domain
@@ -374,9 +358,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
         )
         if degenerate:
             degenerate_count += 1
-        rows.append(
-            OracleRow(theta, kappa, rho_num, s_cum[i], phi_act, c.L, c.rho, phi_presc, degenerate)
-        )
+        rows.append(OracleRow(theta, kappa, rho_num, s_cum[i], phi_act, degenerate))
         # the re-integrated L needs only the closed-form row, not the trace,
         # so it stays measurable even when the numeric columns are not
         if c.valid.in_domain:
@@ -387,8 +369,8 @@ def compare(p: CurveParams, count: int) -> OracleReport:
         if degenerate:
             continue
         rho_res.append(abs(rho_num - c.rho) / abs(c.rho))
-        if math.isfinite(phi_act) and math.isfinite(phi_presc):
-            phi_res.append(_angle_distance_mod_pi(phi_act, phi_presc))
+        if math.isfinite(phi_act) and math.isfinite(c.phi):
+            phi_res.append(_angle_distance_mod_pi(phi_act, c.phi))
         arc_res.append(abs(s_cum[i] - c.L) / max(abs(c.L), 1e-12))
 
     return OracleReport(

@@ -284,6 +284,15 @@ class TestConfigFile:
         )
         assert main(["svg", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("name", ["csv", "json"])
+    def test_outputs_names_only_svg_files(self, tmp_path, capsys, name):
+        # sample always writes both samples files, so naming one of them
+        # would select nothing
+        cfg = self.write(tmp_path, {"n": 1, "theta1": 5, "phi": "pi/2", "outputs": [name]})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown outputs: {name}\n"
+        assert not (tmp_path / "samples.csv").exists()
+
 
 class TestLcgCommand:
     def test_exact_slope_for_identity_config(self, tmp_path):
@@ -775,6 +784,17 @@ class TestStartUp:
         added = modules_loaded_by(f"from polarlac.cli import main\nassert main({argv!r}) == 0")
         assert added & LAYERS == layers
         assert not added & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("sub", ["sample", "lcg", "verify", "svg"])
+    def test_a_run_loads_only_the_standard_library(self, tmp_path, sub):
+        # site may load third-party modules before the script starts, so
+        # modules_loaded_by leaves them out; everything a run adds must be
+        # the package's own or the standard library's
+        argv = [sub, *FIG4, "--samples", "16", "--out", str(tmp_path)]
+        added = modules_loaded_by(f"from polarlac.cli import main\nassert main({argv!r}) == 0")
+        assert "polarlac.cli" in added
+        tops = {name.partition(".")[0] for name in added}
+        assert tops - {"polarlac"} <= set(sys.stdlib_module_names)
 
     def test_mapping_an_escaped_error_to_its_exit_code_imports_nothing(self, tmp_path):
         # the error passes the rows of lcg and svgplot on its way to the last

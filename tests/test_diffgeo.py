@@ -205,9 +205,12 @@ class TestCompare:
         assert report.ode_residual.max <= 1e-8
 
     def test_work_per_row(self, monkeypatch):
-        # the stencils reuse the R values of the Simpson segments ending at
-        # each grid theta, and R takes phi from its one dual evaluation, so
-        # plain phi values remain only for phi_prescribed and the ODE check
+        # R at a grid theta comes from the sampled row, and the stencils
+        # reuse the R values of the Simpson segments at theta +- h; R takes
+        # phi from its one dual evaluation, and the prescribed phi comes from
+        # the sampled row, so plain phi values remain only for the ODE
+        # check's turn at each row and the ODE's total turn.  At 1,024 rows
+        # of pi/8 that is 11,255 R calls and 1,025 phi values
         calls = {"R": 0, "phi": 0}
         radius_at_ = curve.radius_at
         value = PhiFunction.value
@@ -223,8 +226,8 @@ class TestCompare:
         monkeypatch.setattr(curve, "radius_at", counted_radius_at)
         monkeypatch.setattr(PhiFunction, "value", counted_value)
         compare(params(2.0, theta1=5.0, phi="pi/8"), 1024)
-        assert calls["R"] <= 13 * 1024
-        assert calls["phi"] <= 3 * 1024
+        assert calls["R"] <= 11.25 * 1024
+        assert calls["phi"] <= 1024 + 8
 
     def test_memory_stays_bounded_when_segments_exhaust_the_budget(self):
         # each of the 7 segments of a 1e6-radian sweep of an oscillating R
@@ -252,10 +255,11 @@ class TestCompare:
 
     def test_row_columns_join_closed_and_numeric(self, fig4):
         report = compare(fig4, 16)
-        mid = report.rows[8]
-        assert mid.L_closed == arc_length(fig4, mid.theta)
-        assert mid.phi_prescribed == math.pi / 2
-        assert mid.rho_closed == pytest.approx(mid.L_closed + 1.0, rel=1e-15)
+        mid, closed = report.rows[8], report.samples[8]
+        assert closed.theta == mid.theta
+        assert closed.L == arc_length(fig4, mid.theta)
+        assert closed.phi == math.pi / 2
+        assert closed.rho == pytest.approx(closed.L + 1.0, rel=1e-15)
 
 
 class TestSimpsonBudget:

@@ -113,9 +113,6 @@ def _synthetic_report(rhos, step=0.1):
                 rho_numeric=rho,
                 s_numeric=step * i,
                 phi_actual=1.0,
-                L_closed=step * i,
-                rho_closed=rho,
-                phi_prescribed=1.0,
                 degenerate=False,
             )
         )
