@@ -27,11 +27,12 @@ only where a run reads a config file or writes JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import tempfile
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import curve as _curve
 from .phiexpr import ParseError, depends_on_theta, parse
@@ -173,23 +174,40 @@ def _build_params(cfg: RunConfig) -> _curve.CurveParams:
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
+    _write_files(out_dir, (name,), ((text,),))
+
+
+def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[str, ...]]) -> None:
+    """Write ``blocks``, each one text per name, to a temp file per name as
+    they come; replace the named files once every temp file is complete, or
+    on any failure remove every temp file, so that no named file is replaced."""
+    name, files, tmps = names[0], [], []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-            # mkstemp creates the file 0600; give it the mode open() would,
+            for name in names:
+                fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+                tmps.append(tmp)
+                files.append(os.fdopen(fd, "w", encoding="utf-8", newline="\n"))
+            for texts in blocks:
+                for name, fh, text in zip(names, files, texts):
+                    fh.write(text)
+            # mkstemp creates each file 0600; give it the mode open() would,
             # 0666 less the umask, which can only be read by setting it
             umask = os.umask(0o077)
             os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, os.path.join(out_dir, name))
+            for name, fh, tmp in zip(names, files, tmps):
+                fh.close()
+                os.chmod(tmp, 0o666 & ~umask)
+            for name, tmp in zip(names, tmps):
+                os.replace(tmp, os.path.join(out_dir, name))
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            for fh in files:
+                with contextlib.suppress(OSError):
+                    fh.close()
+            for tmp in tmps:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
             raise
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write {name}: {exc}") from exc
@@ -234,8 +252,8 @@ _JSON_ROW = """    {
       "x": %s,
       "y": %s
     }"""
-# rows formatted and joined at a time, so that only one block's per-row
-# strings are alive at once
+# rows formatted, joined and written at a time, so that only one block's
+# text is alive at once
 _BLOCK_ROWS = 1024
 
 
@@ -246,29 +264,26 @@ def _json_number(v: float) -> str:
 def cmd_sample(cfg: RunConfig) -> int:
     params = _build_params(cfg)
     rows = _curve.sample(params, cfg.samples)
-    csv_parts = ["theta,L,R,rho,phi,beta,x,y,in_domain\n"]
-    # the params block goes through the encoder; "params" sorts before
-    # "rows", so the rows array goes in place of the closing "\n}\n"
-    json_parts = [_dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n']
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        csv_rows, json_rows = [], []
-        for theta, L, R, rho, phi, _, beta, x, y, valid in rows[start : start + _BLOCK_ROWS]:
-            flag = "true" if valid.in_domain else "false"
-            csv_rows.append(_CSV_ROW % (theta, L, R, rho, phi, beta, x, y, flag))
-            # a sum of finite values that overflows only sends the row the
-            # slow way, which writes it the same
-            if not math.isfinite(theta + L + R + rho + phi + beta + x + y):
-                L, R, beta, phi, rho, theta, x, y = map(_json_number, (L, R, beta, phi, rho, theta, x, y))
-            json_rows.append(_JSON_ROW % (L, R, beta, flag, phi, rho, theta, x, y))
-        csv_parts.append("".join(csv_rows))
-        json_parts.append((",\n" if start else "") + ",\n".join(json_rows))
-    del rows
-    json_parts.append("\n  ]\n}\n")
-    for name, parts in (("samples.csv", csv_parts), ("samples.json", json_parts)):
-        text = "".join(parts)
-        parts.clear()  # only the joined text is alive while it is written
-        _write_atomic(cfg.out_dir, name, text)
-        del text
+
+    def blocks():
+        # the params block goes through the encoder; "params" sorts before
+        # "rows", so the rows array goes in place of the closing "\n}\n"
+        head = _dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n'
+        yield "theta,L,R,rho,phi,beta,x,y,in_domain\n", head
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            csv_rows, json_rows = [], []
+            for theta, L, R, rho, phi, _, beta, x, y, valid in rows[start : start + _BLOCK_ROWS]:
+                flag = "true" if valid.in_domain else "false"
+                csv_rows.append(_CSV_ROW % (theta, L, R, rho, phi, beta, x, y, flag))
+                # a sum of finite values that overflows only sends the row the
+                # slow way, which writes it the same
+                if not math.isfinite(theta + L + R + rho + phi + beta + x + y):
+                    L, R, beta, phi, rho, theta, x, y = map(_json_number, (L, R, beta, phi, rho, theta, x, y))
+                json_rows.append(_JSON_ROW % (L, R, beta, flag, phi, rho, theta, x, y))
+            yield "".join(csv_rows), (",\n" if start else "") + ",\n".join(json_rows)
+        yield "", "\n  ]\n}\n"
+
+    _write_files(cfg.out_dir, ("samples.csv", "samples.json"), blocks())
     return 0
 
 
@@ -374,16 +389,17 @@ def cmd_svg(cfg: RunConfig) -> int:
     good = [r for r in rows if r.valid.in_domain]
     if not good:
         raise CliError(EXIT_CONFIG, "all samples are outside the curve domain; nothing to plot")
+
+    def plot(name: str, points: list, subject: str) -> None:
+        # the points and the text live only for this call, not the next plot's
+        _write_atomic(cfg.out_dir, name, svgplot.render_polyline(points, subject))
+
     if "svg-curve" in cfg.outputs:
-        text = svgplot.render_polyline([(r.x, r.y) for r in good], "curve")
-        _write_atomic(cfg.out_dir, "curve.svg", text)
+        plot("curve.svg", [(r.x, r.y) for r in good], "curve")
     if "svg-rho" in cfg.outputs:
-        text = svgplot.render_polyline([(r.theta, r.rho) for r in good], "radius of curvature")
-        _write_atomic(cfg.out_dir, "rho.svg", text)
+        plot("rho.svg", [(r.theta, r.rho) for r in good], "radius of curvature")
     if "svg-lcg" in cfg.outputs:
-        points = lcg.lcg_points(params, rows)
-        text = svgplot.render_polyline([(pt.x, pt.y) for pt in points], "logarithmic curvature graph")
-        _write_atomic(cfg.out_dir, "lcg.svg", text)
+        plot("lcg.svg", lcg.lcg_points(params, rows), "logarithmic curvature graph")
     return 0
 
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -112,7 +113,40 @@ class TestSampleCommand:
         blocker.write_text("a file, not a directory")
         code = main(["sample", *FIG4, "--out", str(blocker / "sub")])
         assert code == 4
-        assert "error:" in capsys.readouterr().err
+        reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{blocker / 'sub'}'"
+        assert capsys.readouterr().err == f"error: cannot write samples.csv: {reason}\n"
+
+    def test_a_failed_write_replaces_neither_file(self, tmp_path, monkeypatch, capsys):
+        # samples.json fails at its second block of rows, once both files
+        # hold a block: both keep what they held, and no temp file is left
+        for name in ("samples.csv", "samples.json"):
+            (tmp_path / name).write_text("before")
+        fdopen = os.fdopen
+        opened = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(text)
+
+            def close(self):
+                self.fh.close()
+
+        def failing_fdopen(fd, *args, **kwargs):
+            opened.append(fdopen(fd, *args, **kwargs))
+            return FullDisk(opened[-1]) if len(opened) == 2 else opened[-1]
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        assert run(FIG4, tmp_path, extra=("--samples", "2500")) == 4
+        assert capsys.readouterr().err == f"error: cannot write samples.json: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["samples.csv", "samples.json"]
+        assert all((tmp_path / name).read_text() == "before" for name in ("samples.csv", "samples.json"))
+        assert all(fh.closed for fh in opened)
 
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         assert run(["--n", "0", "--theta1", "15", "--phi", "pi/2"], tmp_path) == 2
@@ -186,6 +220,12 @@ class TestSampleCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak / 16384 < 1100
+
+    def test_rows_are_held_once(self, tmp_path):
+        # each block's text is written as it is formatted, so little more
+        # than the rows themselves is alive
+        argv = ["sample", *FIG5, "--out", str(tmp_path)]
+        assert peak_bytes_per_row(argv, 16384) < 500
 
     def test_large_text_round_trips(self, tmp_path):
         text = "".join(f"{i},{i / 7!r}\n" for i in range(200_000))
@@ -597,6 +637,18 @@ def test_every_input_ends_in_a_documented_code(tmp_path_factory, argv):
     assert main([*argv, "--out", str(out)]) in range(6)
 
 
+def peak_bytes_per_row(argv, rows):
+    """Peak traced bytes per row of ``main(argv)`` at ``rows`` samples, after
+    a small run has loaded what a run imports."""
+    assert main([*argv, "--samples", "64"]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--samples", str(rows)]) == 0
+        return tracemalloc.get_traced_memory()[1] / rows
+    finally:
+        tracemalloc.stop()
+
+
 def polyline_points(svg_text):
     match = re.search(r'<polyline[^>]* points="([^"]*)"', svg_text)
     assert match is not None
@@ -676,6 +728,58 @@ def test_outputs_match_recorded_digests(tmp_path, sub, config, digests):
     assert written == {k: v for k, v in digests.items() if k.startswith(sub)}
 
 
+DENSE_CONFIGS = [
+    ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
+    ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
+    ["--n", "2", "--a", "-1", "--theta1", "5", "--phi", "pi/8"],
+]
+# sha256 of every file sample and svg write at 2,500 rows, two full blocks of
+# 1,024 rows and a partial one, on the benchmark's dense configs; recorded
+# with each file's text joined whole before it was written, and each point
+# of a plot formatted by its own call (CPython 3.11, glibc, x86-64 Linux)
+BLOCK_DIGESTS = {
+    "sample": [
+        {
+            "samples.csv": "6bb4d675d78de6e85a632b7c3d54e2592f500d47b2d29be4332cc7968e01d0b0",
+            "samples.json": "d622eff92f299b3519745028feac040c24b96131f3d3cb88d17f233d6a7dc2c7",
+        },
+        {
+            "samples.csv": "0951dc671e3b6918513b7984766797ef80022b689fce2cc0998e7d3b666f4015",
+            "samples.json": "6923a272f8731efa5552449b8a56ac70ee87f9dbad17acba4b598ed04bed02a5",
+        },
+        {
+            "samples.csv": "99e44ae79649f6bbbb0076bece07340152b7ac6260fc329ceb7bf5d701ad1239",
+            "samples.json": "093f687fb245ddb16b35cb6f4ad73731189094df05d47e222a0a5d574a92d7ba",
+        },
+    ],
+    "svg": [
+        {
+            "curve.svg": "9a36829bc1d9563a5b988ba7b75ddf99e124f29707fff1cb00d768aba156d2e2",
+            "lcg.svg": "1cf4a2104166acdd0c7949aeb10fef7354d6889a8e6b774699c0c7ed05b5cc3c",
+            "rho.svg": "a905c2e2819d252f10b50e8cb384a5db689abb1dddff4b9766e43ae91a1ca266",
+        },
+        {
+            "curve.svg": "ecd21a5ab8b10f0a1bd1c9ac6e56eedf756f8d14a05a02dca89e3d1207d9f61e",
+            "lcg.svg": "b1e4de8517ea7af0534351372b8eb1acf7c68ddf2811126eb351faaf6d7d7e39",
+            "rho.svg": "941bb0933cc4b8d08f69c6f6d7c0dc3869508d47192893690c8184b1d51bb2f4",
+        },
+        {
+            "curve.svg": "b581dbd8a8ced2a8c5d24ce37b3718c58965a5d4a941f80bcc59bf2a7c23e5c3",
+            "lcg.svg": "37e124f261559f031c0314a8f0028800ce428765fa692e06c93e68c439b6b484",
+            "rho.svg": "0c042daae94dc734300e549ed2aaf3b2537db1c6ee93f5829d7518564ce93010",
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("sub", ["sample", "svg"])
+@pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
+def test_outputs_across_blocks_match_recorded_digests(tmp_path, sub, index):
+    assert run(DENSE_CONFIGS[index], tmp_path, sub=sub, extra=("--samples", "2500")) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == BLOCK_DIGESTS[sub][index]
+
+
 class TestSvgCommand:
     def test_curve_has_all_sample_points(self, tmp_path):
         assert run(FIG4, tmp_path, sub="svg", extra=("--samples", "512")) == 0
@@ -698,6 +802,70 @@ class TestSvgCommand:
         assert run(args, tmp_path, sub="svg", extra=("--samples", "16")) == 2
         assert "nothing to plot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "output,subject", [("svg-curve", "curve"), ("svg-rho", "radius of curvature")]
+    )
+    def test_a_view_that_overflows_exits_5(self, tmp_path, capsys, output, subject):
+        # x reaches about -3.7e306 and 7.8e306 and rho 1e307: padding the
+        # range by 5 percent, or taking its span, overflows a float
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"outputs": [output]}))
+        out = tmp_path / "out"
+        argv = ["svg", "--n", "1", "--b", "1e307", "--theta1", "3.5", "--phi", "pi/2", "--samples", "64"]
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"error: {subject} degenerated: its range overflows a float\n"
+        assert not out.exists()
+
+    def test_plots_are_held_one_at_a_time(self, tmp_path):
+        # each plot's points and text are released before the next plot's
+        # are built, and its coordinates are formatted a block at a time
+        assert peak_bytes_per_row(["svg", *FIG5, "--out", str(tmp_path)], 16384) < 600
+
+
+def reference_polyline_points(points):
+    """The polyline's coordinates as formatted one point at a time: each value
+    through its own affine map and _fmt."""
+    finite = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+    x0, x1 = svgplot._padded_range(min(x for x, _ in finite), max(x for x, _ in finite))
+    y0, y1 = svgplot._padded_range(min(y for _, y in finite), max(y for _, y in finite))
+
+    def px(x):
+        return (x - x0) / (x1 - x0) * svgplot._WIDTH
+
+    def py(y):
+        return svgplot._HEIGHT - (y - y0) / (y1 - y0) * svgplot._HEIGHT
+
+    return [f"{svgplot._fmt(px(x))},{svgplot._fmt(py(y))}" for x, y in finite]
+
+
+def _dense_point_sets():
+    # what svg plots at 2,500 rows, two full blocks of points and a partial
+    # one, on the benchmark's dense configs
+    sets = []
+    for config in DENSE_CONFIGS:
+        values = dict(zip(config[0::2], config[1::2]))
+        a = float(values.get("--a", "1"))
+        p = CurveParams(float(values["--n"]), a, 1.0, 0.0, float(values["--theta1"]), parse(values["--phi"]))
+        rows = curve.sample(p, 2500)
+        good = [r for r in rows if r.valid.in_domain]
+        sets += [[(r.x, r.y) for r in good], [(r.theta, r.rho) for r in good], lcg.lcg_points(p, rows)]
+    return sets
+
+
+_rng = random.Random(13)
+REFERENCE_POINT_SETS = [
+    *_dense_point_sets(),
+    # values that print as -0.000000 under %.6f, at the low edges of the view
+    [(-1e-9, -0.0), (0.0, 1e-9), (-5e-7, 4e-7), (-0.0, -1e-300)],
+    # values of 1e20 squeeze the rest of the view into its edge
+    [(1e20, -1e20), (0.0, 0.0), (-1.5, 2.5), (1e-20, -1e-20), (-1e20, 1e20)],
+    # non-finite pairs are skipped, in and across blocks
+    [(math.nan, 0.0), *[(float(i), _rng.uniform(-1, 1)) for i in range(2500)], (0.0, math.inf)]
+    + [(math.inf, -math.inf), (-1.0, math.nan)] * 700,
+]
+REFERENCE_IDS = [f"config{i}-{plot}" for i in range(3) for plot in ("curve", "rho", "lcg")] + [
+    "negative-zero", "1e20", "non-finite"]
+
 
 class TestRenderPolyline:
     def test_no_finite_points(self):
@@ -719,6 +887,24 @@ class TestRenderPolyline:
     def test_flat_data_still_renders(self):
         text = render_polyline([(0.0, 2.0), (1.0, 2.0)])
         assert len(polyline_points(text)) == 2
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(-1e308, 0.0), (1e308, 1.0)],  # the span overflows
+            [(0.0, 1.75e308), (1.0, 1.75e308)],  # the padded range overflows
+            [(0.0, -1.7e308), (1.0, 1.0)],
+        ],
+    )
+    def test_a_view_that_overflows_names_the_subject(self, points):
+        with pytest.raises(NothingToPlot, match="^rho degenerated: its range overflows a float$"):
+            render_polyline(points, "rho")
+
+    @pytest.mark.parametrize("points", REFERENCE_POINT_SETS, ids=REFERENCE_IDS)
+    def test_points_match_the_per_point_reference(self, points):
+        text = render_polyline(points)
+        assert polyline_points(text) == reference_polyline_points(points)
+        assert "-0.000000" not in text
 
 
 class TestEntryPoints:
