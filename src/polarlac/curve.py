@@ -1,35 +1,43 @@
 """Closed-form synthesis of polar curves whose radius of curvature obeys
 rho^n = a*L + b along the model arc length L.
 
-Two families share one API.  For n = 1 the arc length grows exponentially
-with the accumulated tangent turn u = (theta - theta0) + (f(theta) - f(theta0)):
+One closed form serves every n.  With the accumulated tangent turn
+u = (theta - theta0) + (f(theta) - f(theta0)), a turn variable w is
 
-    L = (b/a) * (exp(a*u) - 1)
+    w = a*u                              for n = 1, and otherwise
+    w = log1p(x) / (n - 1),   x = a*(n - 1)*u / (n * b^(1 - 1/n)),
 
-and for n != 1 the turn enters through the power base
+defined while x > -1, and from it
 
-    A(theta) = (a*(n - 1)*u + n * b^(1 - 1/n)) / n,
-    L = (A^(n/(n-1)) - b) / a,
+    L = b * expm1(n*w) / a,   a*L + b = b * exp(n*w),   rho = b^(1/n) * exp(w).
 
-valid while A stays positive.  The radius follows as
-R = rho(L) * (1 + f'(theta)) * sin f(theta) in both families.
+w tends to a*u as n tends to 1, so the two cases are one family; n within
+CLASS_ONE_TOL of 1 is solved as n = 1.  expm1 and log1p keep L and rho
+accurate where a*L + b cancels and at the n = 1 seam.  L is exactly 0
+where u is, whatever the other terms are.  The radius follows as
+R = rho * (1 + f'(theta)) * sin f(theta).
 
-Each CurveParams compiles these forms once, at construction, into a
-kernel of closures: the family is picked there, and the terms that depend
-only on the parameters are computed there, in the same float operations
-the formulas above spell out.
+Each CurveParams compiles this form once, at construction, into a kernel of
+closures, with the terms that depend only on the parameters folded there.
+b^(1/n) is carried as its logarithm, rho = exp(w + ln(b)/n), so a point
+raises OverflowError where rho itself leaves float range, never at
+construction.  Where b^(1 - 1/n) or x/u leaves float range, x is carried as
+its sign and ln|x|: such a curve keeps every point where |x| is at least
+the least normal float, and a point below that raises OverflowError rather
+than compute w from a subnormal.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 from ._record import Record
 from .phiexpr import EvalDomainError, PhiFunction
 
-# |n - 1| at or below this dispatches to the exponential family
+# |n - 1| at or below this is solved as n = 1
 CLASS_ONE_TOL = 1e-9
 
 _BISECT_TOL = 1e-12
@@ -46,9 +54,9 @@ class InvalidParameters(ValueError):
 
 
 class DomainExceeded(ValueError):
-    """A(theta) <= 0: the curve is not defined this far.
+    """x(theta) <= -1: the curve is not defined this far.
 
-    ``theta_max`` is the largest angle (to 1e-12) where A is still positive.
+    ``theta_max`` is the largest angle (to 1e-12) where x is still above -1.
     It is bisected on first read, of the attribute or of the message, and
     cached: most callers only flag the row and never read it.
     """
@@ -149,60 +157,62 @@ class ValidationReport(NamedTuple):
 
 
 class _Kernel(NamedTuple):
-    """The closed forms of one curve, compiled by ``_compile``."""
+    """The closed form of one curve, compiled by ``_compile``."""
 
-    base: Callable[[float], float]  # u -> A
-    arc: Callable[[float, float], float]  # (theta, u) -> L
-    rho: Callable[[float], float]  # L -> rho
+    # u -> (L, rho); raises ValueError where x <= -1, as log1p does, and
+    # only there; OverflowError where x, L or rho leaves float range
+    arc: Callable[[float], tuple[float, float]]
     point: Callable[[float], tuple[float, float, float, float]]  # theta -> (L, rho, phi, f')
     rows: Callable[[list[float]], list[CurveSample]]  # thetas -> sample rows
 
 
-def _compile(p: CurveParams) -> _Kernel:
-    n, a, b = p.n, p.a, p.b
-    phi, theta0, phi0 = p.phi, p.theta0, p.phi0
-    slope = a * (n - 1.0)
+def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
+    # u -> w for a nonzero u: the one place the closed form forks
+    n_1, log1p = n - 1.0, math.log1p
+    if not n_1:
+        return lambda u: a * u
+    offset_power = 1.0 - 1.0 / n
     try:
-        offset = n * b ** (1.0 - 1.0 / n)
-    except OverflowError:
-        # b^(1-1/n) is out of float range: every A(theta) raises, as the
-        # formula does, when it is asked for and not before
-        def base(u: float) -> float:
-            return (slope * u + n * b ** (1.0 - 1.0 / n)) / n
-    else:
-        def base(u: float) -> float:
-            return (slope * u + offset) / n
+        base = b ** offset_power
+        slope = a * (n_1 / n) / base  # x = slope*u
+    except (OverflowError, ZeroDivisionError):
+        base = slope = 0.0
+    if sys.float_info.min <= base < math.inf and abs(slope) < math.inf:
+        return lambda u: log1p(slope * u) / n_1
+    # b^(1 - 1/n) or x/u is out of float range, though L and rho need not
+    # be: x is carried as its sign and logarithm, t = ln|x|
+    log, exp, least = math.log, math.exp, math.log(sys.float_info.min)
+    log_slope = log(abs(a)) + log(abs(n_1)) - log(abs(n)) - offset_power * log(b)
+    positive = (a > 0.0) == ((n_1 > 0.0) == (n > 0.0))
 
-    if p.is_class_one:
-        b_over_a = b / a
+    def turn(u: float) -> float:
+        t = log_slope + log(abs(u))
+        if t < least:
+            raise OverflowError("x underflows")
+        if (u > 0.0) == positive:  # ln(1 + x) = t + ln(1 + 1/x)
+            return (t + log1p(exp(-t)) if t > 0.0 else log1p(exp(t))) / n_1
+        if t >= 0.0:
+            raise ValueError("x <= -1")
+        return log1p(-exp(t)) / n_1
 
-        def arc(theta: float, u: float) -> float:
-            if u == 0.0:
-                return 0.0
-            return b_over_a * math.expm1(a * u)
+    return turn
 
-        def rho(L: float) -> float:
-            g = a * L + b
-            if g <= 0.0:
-                raise NonpositiveRho(g)
-            return g
-    else:
-        power = n / (n - 1.0)
-        inv_n = 1.0 / n
 
-        def arc(theta: float, u: float) -> float:
-            if u == 0.0:
-                return 0.0
-            A = base(u)
-            if A <= 0.0:
-                raise DomainExceeded(p, theta)
-            return (A ** power - b) / a
+def _compile(p: CurveParams) -> _Kernel:
+    n = 1.0 if p.is_class_one else p.n
+    a, b = p.a, p.b
+    phi, theta0, phi0 = p.phi, p.theta0, p.phi0
+    log_rho0 = math.log(b) / n  # ln b^(1/n)
+    exp, expm1 = math.exp, math.expm1
+    turn = _compile_turn(n, a, b)
 
-        def rho(L: float) -> float:
-            g = a * L + b
-            if g <= 0.0:
-                raise NonpositiveRho(g)
-            return g ** inv_n
+    def arc(u: float) -> tuple[float, float]:
+        # rho = exp(w + ln b^(1/n)), so that it overflows, as a row error,
+        # only where rho itself does
+        if not u:
+            return 0.0, exp(log_rho0)
+        w = turn(u)
+        return b * expm1(n * w) / a, exp(w + log_rho0)
 
     def point(theta: float) -> tuple[float, float, float, float]:
         # one evaluation of phi gives both the turn and f'; where phi has a
@@ -212,28 +222,26 @@ def _compile(p: CurveParams) -> _Kernel:
         except EvalDomainError:
             arc_length(p, theta)
             raise
-        L = arc(theta, (theta - theta0) + (v - phi0))
-        return L, rho(L), v, d
+        return (*_arc_at(p, theta, (theta - theta0) + (v - phi0)), v, d)
 
     def rows(thetas: list[float]) -> list[CurveSample]:
         # point() and the row built from it, in one loop: a row that raises
-        # a row error anywhere, cos(inf) included, is flagged, and no domain
-        # exit is looked for, since the flag is the same either way
+        # a row error anywhere, cos(inf) included, is flagged.  Past the
+        # domain arc raises ValueError, so no DomainExceeded is built
         out = []
         append, new, evaluate = out.append, tuple.__new__, phi.eval_with_derivative
         sin, cos, in_domain = math.sin, math.cos, IN_DOMAIN
         for theta in thetas:
             try:
                 v, d = evaluate(theta)
-                L = arc(theta, (theta - theta0) + (v - phi0))
-                r = rho(L)
+                L, r = arc((theta - theta0) + (v - phi0))
                 R = r * (1.0 + d) * sin(v)
                 append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
             except ROW_ERRORS:
                 append(_invalid_sample(theta))
         return out
 
-    return _Kernel(base, arc, rho, point, rows)
+    return _Kernel(arc, point, rows)
 
 
 def turn_angle(p: CurveParams, theta: float) -> float:
@@ -242,36 +250,52 @@ def turn_angle(p: CurveParams, theta: float) -> float:
 
 
 def _domain_boundary(p: CurveParams, theta_bad: float) -> float:
-    # A is positive at theta0 (it equals b^(1-1/n) there) and nonpositive at
-    # theta_bad; bisect the bracket down to 1e-12 in theta
-    base = p._kernel.base
+    # x is 0 at theta0 and at most -1 at theta_bad; bisect the bracket down
+    # to 1e-12 in theta
+    arc = p._kernel.arc
     good, bad = p.theta0, theta_bad
     while abs(bad - good) > _BISECT_TOL:
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
         try:
-            positive = base(turn_angle(p, mid)) > 0.0
-        except EvalDomainError:
-            positive = False
-        if positive:
-            good = mid
-        else:
+            arc(turn_angle(p, mid))
+        except (ValueError, EvalDomainError):
             bad = mid
+            continue
+        except OverflowError:  # x, L or rho out of float range, but x > -1
+            pass
+        good = mid
     return good
 
 
-def arc_length(p: CurveParams, theta: float) -> float:
-    """Model arc length L(theta); exactly zero at theta0.
+def _arc_at(p: CurveParams, theta: float, u: float) -> tuple[float, float]:
+    try:
+        return p._kernel.arc(u)
+    except ValueError:
+        raise DomainExceeded(p, theta) from None
 
-    Raises DomainExceeded when the power base A(theta) is nonpositive
-    (n != 1 only; the exponential family is defined for every turn).
+
+def arc_and_rho(p: CurveParams, theta: float) -> tuple[float, float]:
+    """(L, rho) at theta, from phi's value alone: L is exactly zero at theta0.
+
+    Raises DomainExceeded where x(theta) <= -1 (n != 1 only; at n = 1
+    the curve is defined for every turn).
     """
-    return p._kernel.arc(theta, turn_angle(p, theta))
+    return _arc_at(p, theta, turn_angle(p, theta))
+
+
+def arc_length(p: CurveParams, theta: float) -> float:
+    """Model arc length L(theta); raises as ``arc_and_rho`` does."""
+    return arc_and_rho(p, theta)[0]
 
 
 def radius_of_curvature(p: CurveParams, L: float) -> float:
-    return p._kernel.rho(L)
+    """rho = (a*L + b)^(1/n) from L; raises NonpositiveRho where a*L + b <= 0."""
+    g = p.a * L + p.b
+    if g <= 0.0:
+        raise NonpositiveRho(g)
+    return g ** (1.0 / (1.0 if p.is_class_one else p.n))
 
 
 def radius_at(p: CurveParams, theta: float) -> float:

@@ -44,27 +44,28 @@ class LcgLine(NamedTuple):
 
 
 def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
-    """Graph points from the model, (ln rho, ln|n/a| + ln(aL + b)), one per
-    sample row of ``p``, skipping every row that raises a row error: past
-    the domain boundary, rho or a logarithm out of range, phi not evaluable.
+    """Graph points from the model, (ln rho, ln(|n/a| rho^n)), one per sample
+    row of ``p``, skipping every row that raises a row error: past the
+    domain boundary, rho or a logarithm out of range, phi not evaluable.
+    Since rho^n = a*L + b, the ordinate is taken from rho, which the kernel
+    computes without the cancellation a*L + b suffers.
 
-    A row in domain gives its own L and rho.  A flagged row is evaluated
-    again from its theta: where phi has a value but no derivative, as
-    sqrt(theta) at 0, the row is flagged and yet L and rho exist.
+    A row in domain gives its own rho.  A flagged row is evaluated again
+    from its theta: where phi has a value but no derivative, as sqrt(theta)
+    at 0, the row is flagged and yet L and rho exist.
     """
-    scale, a, b = abs(p.n / p.a), p.a, p.b
+    scale, n = abs(p.n / p.a), p.n
     new, log = tuple.__new__, math.log
     points = []
     for row in rows:
         try:
             if row.valid.in_domain:
-                L, rho = row.L, row.rho
+                rho = row.rho
             else:
-                L = _curve.arc_length(p, row.theta)
-                rho = _curve.radius_of_curvature(p, L)
+                rho = _curve.arc_and_rho(p, row.theta)[1]
             if not rho > 0.0:  # 0 or NaN, and math.log(NaN) does not raise
                 continue
-            points.append(new(LcgPoint, (log(rho), log(scale * (a * L + b)))))
+            points.append(new(LcgPoint, (log(rho), log(scale * rho ** n))))
         except ROW_ERRORS:
             continue
     return points

@@ -1,3 +1,4 @@
+import decimal
 import errno
 import hashlib
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarlac import CurveParams, arc_length, cli, curve, diffgeo, lcg, parse, radius_at, radius_of_curvature, svgplot
+from polarlac import CurveParams, arc_length, cli, curve, diffgeo, lcg, parse, radius_at, svgplot
 from polarlac.cli import main
 from polarlac.svgplot import NothingToPlot, render_polyline
 from conftest import load_schema
@@ -90,13 +91,28 @@ class TestSampleCommand:
         for line in lines:
             f = line.split(",")
             theta = float(f[0])
-            L = arc_length(p, theta)
-            assert float(f[1]) == L
+            L, rho, _, _ = p._kernel.point(theta)
+            assert float(f[1]) == L == arc_length(p, theta)
             assert float(f[2]) == radius_at(p, theta)
-            assert float(f[3]) == radius_of_curvature(p, L)
+            assert float(f[3]) == rho
             pv = p.phi.eval_with_derivative(theta)
             assert float(f[4]) == pv.phi
             assert float(f[5]) == theta + pv.phi
+
+    def test_the_last_row_before_the_domain_end_keeps_its_rho(self, tmp_path):
+        # n = 2, a = -1, b = 1 with a constant phi: rho = 1 - theta/2, about
+        # 5e-10 at the last row, where a*L + b once rounded to 0 and flagged
+        # it.  rho = exp(w) with w = log1p(-theta/2) = -21.4: log1p's half
+        # ulp of w, 1.8e-15, is 8.6 ulps of rho, and exp adds at most one
+        args = ["--n", "2", "--a", "-1", "--theta1", "1.999999999", "--phi", "pi/2"]
+        assert run(args, tmp_path, extra=("--samples", "4")) == 0
+        last = (tmp_path / "samples.csv").read_text().splitlines()[-1].split(",")
+        assert last[-1] == "true"
+        rho = float(last[3])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = 1 - decimal.Decimal(float(last[0])) / 2
+            assert abs(decimal.Decimal(rho) - exact) <= 10 * decimal.Decimal(math.ulp(rho))
 
     def test_missing_phi_exits_2_with_usage(self, tmp_path, capsys):
         assert main(["sample", "--n", "1", "--theta1", "15", "--out", str(tmp_path)]) == 2
@@ -390,6 +406,23 @@ class TestVerifyCommand:
         assert by_name["compatible_numeric_lcg"]["passed"] is True
         assert all(c["passed"] for c in data["checks"] if c["hard"])
         assert data["residuals"]["phi_actual_vs_prescribed"]["max"] <= 1e-5
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # n within 2e-9 of 1, past CLASS_ONE_TOL: L once came from a power
+            # base raised to about the power 5e8, and ode_vs_closed read 1e-7
+            ["--n", "1.000000002", "--theta1", "15", "--phi", "pi/2"],
+            ["--n", "0.999999998", "--theta1", "15", "--phi", "pi/2"],
+            # a compatible spiral with a < 0: rho once came from a*L + b,
+            # which cancels as the turn grows, and both spiral checks failed
+            ["--n", "1", "--a", "-0.5773502691896255", "--phi", "2*pi/3", "--theta1", "40"],
+            ["--n", "1", "--a", "-0.5773502691896255", "--phi", "2*pi/3", "--theta1", "60"],
+        ],
+        ids=["seam-above", "seam-below", "spiral-40", "spiral-60"],
+    )
+    def test_curves_whose_closed_form_once_cancelled_pass(self, tmp_path, args):
+        assert run(args, tmp_path, sub="verify", extra=("--samples", "64")) == 0
 
     def test_unresolvable_scale_fails_hard_check(self, tmp_path):
         # a genuine log spiral over a span too small for finite differences:
@@ -685,36 +718,35 @@ def test_output_files_honour_the_umask(tmp_path, umask, mode):
 
 
 # sha256 of every file verify and lcg write at 256 samples, recorded with
-# the closed forms evaluated term by term per call and the oracle's RK4 and
-# Simpson steps as separate calls (CPython 3.11, glibc, x86-64 Linux).
-# Compiling the forms once per curve and inlining those steps must not move
-# a byte; a libm whose sin, exp or pow round differently will.
+# the one expm1/log1p closed form of the curve module (CPython 3.11, glibc,
+# x86-64 Linux).  A refactor must not move a byte; a libm whose sin, exp,
+# expm1, log1p or pow round differently will.
 RECORDED_DIGESTS = [
     (
         ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
         {
-            "verify.json": "ca7b871de678bc748cc7bfb0d29c7efba0d4daf25e45f377df62983bde04e511",
-            "lcg_closed.csv": "1d4b33710dffc9b351d78a8a6c65ea29b5dc99733545881f42eea59dff5907a0",
-            "lcg_fit.json": "eacf0e3c0bb2837a65d17129b4ea7cdcc0bfcf74f9d9e7babb779c2ed3ae3c17",
-            "lcg_numeric.csv": "c66a69a725895d751b00ec161054cae7a20eda2d1f2c1e629215c26fb6a81696",
+            "verify.json": "9ed6edb294c7c7a05014742b6b9f23db99c1ca5e7adb6828798f218fc5dea18d",
+            "lcg_closed.csv": "ac53be522f420cc6a38adb5308324e8abd6956d914c25d04bebadde150aa1577",
+            "lcg_fit.json": "f63eaf1fc64fe1ce8b5661ef2915514a8c9b23a39dd4b94dc37afe09ee66eec3",
+            "lcg_numeric.csv": "13473f26ae3ad53458ad4ed3b29daf22854dcd9339cd0efcd25f15d6e5dbc8af",
         },
     ),
     (
         ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
         {
-            "verify.json": "e70bc5e3590a84e0321a80a9db775bb8b32a53c9ee1494a42fe1c67817fcc6c9",
-            "lcg_closed.csv": "25d886e7d0cf3fcfdea97cca53065da668f6eaed7ecbba420a0b3328bf9636e0",
-            "lcg_fit.json": "498a099937d81af85d5833c5286044d7d90dc8a7bdc7e868825f3872afc8cc0d",
-            "lcg_numeric.csv": "dec770de29b4ac0054eb2c6a7f46fb1a8e522492b723168a40b02efb587e1cd9",
+            "verify.json": "0940019cbc3604d3b97d12cd327e51d90e1f376b0b650cd3902790ab67ca0d04",
+            "lcg_closed.csv": "2fec18191a6a245683033f00e458b9ecaba17fe8ee7470a95691a0075f719416",
+            "lcg_fit.json": "d311167eb45d1492b8108beeb6e789908c5c60ed9dc07142221c529482a8a17d",
+            "lcg_numeric.csv": "ac4af45c3289054f2a93919f6e8e971bd6567455c2d26a4d6aa93d53463efe88",
         },
     ),
     (
         ["--n", "-2", "--theta0", "0.1", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"],
         {
-            "verify.json": "d537f9fb51332352390eb76394fd462534897b37065f6af17dcbfc433f09a650",
-            "lcg_closed.csv": "1cc014b03220e443da8fb9492587472ba045f060aca402bac65a5221833f6a7c",
-            "lcg_fit.json": "d1eb9648a18b72906500a20d5b424d93bf268482331ed86a940c97356e4c207a",
-            "lcg_numeric.csv": "7e13416d3d95ad23d61b8aa9b4d361fd46f299780e7dec7ad7374cd619300146",
+            "verify.json": "5df7995c074f4079182b6a3bc0002d4a59d791a8588aaed654a08c7d23dabacf",
+            "lcg_closed.csv": "00264be826516499bad1bd412df175188197c49db4bff0db0bf888d2c8b06b37",
+            "lcg_fit.json": "ea29e447735028e1b8b38e4dc9387619666610a9ac89a8da180c487edab56344",
+            "lcg_numeric.csv": "fa9ecd121583df2a63c1f9ea9ef3794d3d4c5a23956e14f2ed27aa7c669f4881",
         },
     ),
 ]
@@ -734,22 +766,23 @@ DENSE_CONFIGS = [
     ["--n", "2", "--a", "-1", "--theta1", "5", "--phi", "pi/8"],
 ]
 # sha256 of every file sample and svg write at 2,500 rows, two full blocks of
-# 1,024 rows and a partial one, on the benchmark's dense configs; recorded
-# with each file's text joined whole before it was written, and each point
-# of a plot formatted by its own call (CPython 3.11, glibc, x86-64 Linux)
+# 1,024 rows and a partial one, on the benchmark's dense configs; the plots
+# were recorded with each file's text joined whole before it was written,
+# and each point formatted by its own call, and the sample files with the
+# one expm1/log1p closed form (CPython 3.11, glibc, x86-64 Linux)
 BLOCK_DIGESTS = {
     "sample": [
         {
-            "samples.csv": "6bb4d675d78de6e85a632b7c3d54e2592f500d47b2d29be4332cc7968e01d0b0",
-            "samples.json": "d622eff92f299b3519745028feac040c24b96131f3d3cb88d17f233d6a7dc2c7",
+            "samples.csv": "532c265f0bd288a5ca4c1a47758d24484d4f29801fcd39c6051658bf08b469b5",
+            "samples.json": "09b4bdef77a8f8ad76d88c570df13b7f35536322ac56e707e1f11eca5b461635",
         },
         {
-            "samples.csv": "0951dc671e3b6918513b7984766797ef80022b689fce2cc0998e7d3b666f4015",
-            "samples.json": "6923a272f8731efa5552449b8a56ac70ee87f9dbad17acba4b598ed04bed02a5",
+            "samples.csv": "9346f2fb5f6122e19770cfb055ed20f283c580f05a7dff997d34d27b79a318c4",
+            "samples.json": "b5e1650ba4c0b5833e9b1bc87778565695c72dbc0adcafc128780c2a08cef00e",
         },
         {
-            "samples.csv": "99e44ae79649f6bbbb0076bece07340152b7ac6260fc329ceb7bf5d701ad1239",
-            "samples.json": "093f687fb245ddb16b35cb6f4ad73731189094df05d47e222a0a5d574a92d7ba",
+            "samples.csv": "aec10f9bdfd88419d847a074ed67a8a00bc6c9c8d4345d92d2d5aec99a17cda0",
+            "samples.json": "02d47bf74239c462d239c851d25dd860436bceb8de79f4f0b4c9c32efafdda89",
         },
     ],
     "svg": [

@@ -1,7 +1,9 @@
 import dataclasses
+import decimal
 import math
 import pickle
 import struct
+import sys
 
 import pytest
 
@@ -362,6 +364,121 @@ class TestClassSeam:
             assert 1.0e-4 < gap < 1.2e-4
 
 
+# The closed form against the same formulas evaluated in 50-digit decimal
+# arithmetic, on a grid around the n = 1 seam, with turns up to 1 - 1e-9 of
+# the domain end.  A value may be off, relative to it, by K*eps times the
+# relative condition number in u of the problem itself (at least 1): near the
+# domain end no form can do better.  K = 4 is twice the worst ratio
+# measured, 1.92.  Within CLASS_ONE_TOL of 1 the reference solves n = 1, as
+# the kernel does.  a*L + b is checked as the logarithmic curvature graph
+# takes it, rho^n.
+ACCURACY_K = 4
+
+
+def _exact(p, u):
+    # (value, relative condition number in u) of L, a*L + b and rho
+    n = decimal.Decimal(1) if p.is_class_one else decimal.Decimal(p.n)
+    a, b, u = decimal.Decimal(p.a), decimal.Decimal(p.b), decimal.Decimal(u)
+    if n == 1:
+        w, dw = a * u, a
+    else:
+        offset = n * (b.ln() * (1 - 1 / n)).exp()
+        x = a * (n - 1) * u / offset
+        w, dw = (1 + x).ln() / (n - 1), a / (offset * (1 + x))
+    e = (n * w).exp()
+    rho = (b.ln() / n + w).exp()
+    return (
+        (b * (e - 1) / a, abs(n * u * dw) * e / abs(e - 1)),
+        ((decimal.Decimal(p.n) * rho.ln()).exp(), abs(decimal.Decimal(p.n) * u * dw)),
+        (rho, abs(u * dw)),
+    )
+
+
+def _accuracy_turns(p):
+    turns = [1e-9, 1e-4, 0.1, 1.0, 7.0, 40.0]
+    slope = p.a * (p.n - 1.0)
+    if p.is_class_one or slope * p.n > 0.0:
+        return turns  # x grows with u: no domain end
+    n, b = decimal.Decimal(p.n), decimal.Decimal(p.b)
+    end = float(n * (b.ln() * (1 - 1 / n)).exp() / decimal.Decimal(-slope))
+    return [u for u in turns if u < end] + [end * (1.0 - 10.0 ** -k) for k in (1, 3, 6, 9)]
+
+
+@pytest.mark.parametrize("n", [1.0] + [1.0 + s * d for d in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2) for s in (1.0, -1.0)])
+def test_closed_form_matches_a_50_digit_reference(n):
+    eps = decimal.Decimal(2.0 ** -52)
+    tiny = decimal.Decimal(2.0 ** -1074)  # what an underflow to 0 may lose
+    largest = decimal.Decimal(sys.float_info.max)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+        for a in (0.37, -0.37, 2.9, -2.9):
+            for b in (0.5, 1.0, 5.0):
+                # with a constant phi of pi/2, u = theta and R = rho exactly
+                p = params(n, a=a, b=b, theta1=1.0, phi="pi/2")
+                for u in _accuracy_turns(p):
+                    quantities = (lambda: arc_length(p, u), lambda: radius_at(p, u) ** p.n, lambda: radius_at(p, u))
+                    for name, value, (exact, cond) in zip(("L", "a*L + b", "rho"), quantities, _exact(p, u)):
+                        where = f"{name} at n={n!r} a={a} b={b} u={u!r}"
+                        if abs(exact) > largest:
+                            with pytest.raises(OverflowError):
+                                value()
+                            continue
+                        error = abs(decimal.Decimal(value()) - exact)
+                        assert error <= ACCURACY_K * eps * max(1, cond) * abs(exact) + tiny, where
+
+
+# Where b^(1 - 1/n), b^(1/n) or x/u leaves float range while L and rho do not,
+# the kernel carries them as logarithms.  ln|x| or w is then in the hundreds
+# or thousands, and its rounding costs that many eps: these hold to 1e-12,
+# against the same formulas in 400-digit decimal arithmetic (x is as small
+# as 1e-209 here, and 1 + x must not round).
+@pytest.mark.parametrize(
+    "n,a,b",
+    [
+        (-0.5, 1.0, 1e-300),  # b^(1 - 1/n) = 1e-900 underflows
+        (0.2, -1.0, 1e300),  # b^(1 - 1/n) = 1e-1200 underflows, b^(1/n) = 1e1500 overflows
+        (0.5, -1.0, 1e300),  # b^(1/n) = 1e600 overflows
+        (3.0, 1.0, 1e-300),  # b^(1/n) = 1e-100, x up to 6.7e199
+        (3.0, -1.0, 1e300),  # b^(1/n) = 1e100, x down to -6.7e-210
+    ],
+)
+def test_closed_form_where_parameter_terms_leave_float_range(n, a, b):
+    p = params(n, a=a, b=b, theta1=1.0, phi="pi/2")
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 400, decimal.MAX_EMAX, decimal.MIN_EMIN
+        for u in (1e-9, 1e-3, 0.25, 1.0):
+            (L, _), _, (rho, _) = _exact(p, u)
+            assert abs(decimal.Decimal(arc_length(p, u)) - L) <= decimal.Decimal(1e-12) * abs(L), u
+            assert abs(decimal.Decimal(radius_at(p, u)) - rho) <= decimal.Decimal(1e-12) * abs(rho), u
+
+
+def test_an_underflowing_offset_keeps_the_curve():
+    # n = -0.5, a = 1, b = 1e-300: rho^(-1/2) = L + b with x = 3*u/b^3, so
+    # L = (3u)^(1/3) - b and rho = (3u)^(-2/3), although b^3 underflows
+    p = params(-0.5, a=1.0, b=1e-300, theta1=1.0, phi="pi/2")
+    for u in (1e-9, 0.25, 1.0):
+        assert math.isclose(arc_length(p, u), (3.0 * u) ** (1.0 / 3.0), rel_tol=1e-12)
+        assert math.isclose(radius_at(p, u), (3.0 * u) ** (-2.0 / 3.0), rel_tol=1e-12)
+    # only theta0's rho, b^(1/n) = 1e600, is out of range
+    assert [r.valid.in_domain for r in sample(p, 5)] == [False, True, True, True, True]
+
+
+def test_an_underflowing_x_flags_the_point():
+    # n = -30, b = 1e300: b^(1 - 1/n) = 1e310 overflows and x = 1.03e-310*u
+    # is subnormal, so w would keep a few digits: the point raises, as every
+    # point did while b^(1 - 1/n) was raised as a float
+    p = params(-30.0, a=1.0, b=1e300, theta1=1.0, phi="pi/2")
+    with pytest.raises(OverflowError):
+        arc_length(p, 0.5)
+    assert not any(r.valid.in_domain for r in sample(p, 5)[1:])
+    # a domain end beyond such points still bisects: x(0.5) underflows and
+    # x(1) is about -1.5
+    q = params(-30.0, a=-100.0, b=1e300, theta1=1.0, phi="1.5e308*theta^2000")
+    with pytest.raises(DomainExceeded) as exc:
+        arc_length(q, 1.0)
+    assert 0.5 < exc.value.theta_max < 1.0
+
+
 class TestHomothety:
     @pytest.mark.parametrize("phi", ["pi/2", "0.01*theta + 0.3"])
     def test_b_scales_lengths(self, phi):
@@ -386,39 +503,58 @@ class TestMonotonicity:
             assert cur.L > prev.L
 
 
-# The closed forms of the module docstring, written out term by term as the
-# formulas read, with the family picked per call.  The compiled kernel must
-# agree with them bit for bit, and raise the same exceptions.
+# The closed form of the module docstring, written out term by term as the
+# formulas read, with n = 1 picked per call.  The compiled kernel must agree
+# with it bit for bit, and raise the same exceptions.
 
 
-def _ref_class_one(p):
-    return abs(p.n - 1.0) <= curve.CLASS_ONE_TOL
+def _ref_n(p):
+    return 1.0 if abs(p.n - 1.0) <= curve.CLASS_ONE_TOL else p.n
 
 
-def _ref_base(p, u):
-    return (p.a * (p.n - 1.0) * u + p.n * p.b ** (1.0 - 1.0 / p.n)) / p.n
+def _ref_w(p, u):
+    # the turn variable w, or None where x <= -1.  x is formed where
+    # b^(1 - 1/n) and x/u are normal floats, and otherwise carried as its
+    # sign and t = ln|x|, with ln(1 + x) = t + ln(1 + 1/x)
+    n = _ref_n(p)
+    if n == 1.0:
+        return p.a * u
+    try:
+        base = p.b ** (1.0 - 1.0 / n)
+        slope = p.a * ((n - 1.0) / n) / base
+    except (OverflowError, ZeroDivisionError):
+        base = slope = 0.0
+    if sys.float_info.min <= base < math.inf and abs(slope) < math.inf:
+        x = slope * u
+        return None if x <= -1.0 else math.log1p(x) / (n - 1.0)
+    log_slope = math.log(abs(p.a)) + math.log(abs(n - 1.0)) - math.log(abs(n)) - (1.0 - 1.0 / n) * math.log(p.b)
+    t = log_slope + math.log(abs(u))
+    if t < math.log(sys.float_info.min):
+        raise OverflowError("x underflows")
+    if math.copysign(1.0, p.a) * math.copysign(1.0, n - 1.0) * math.copysign(1.0, n) * u > 0.0:
+        return (t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))) / (n - 1.0)
+    return None if t >= 0.0 else math.log1p(-math.exp(t)) / (n - 1.0)
 
 
-def _ref_L(p, theta, u):
+def _ref_L_rho(p, theta, u):
+    n = _ref_n(p)
     if u == 0.0:
-        return 0.0
-    if _ref_class_one(p):
-        return (p.b / p.a) * math.expm1(p.a * u)
-    A = _ref_base(p, u)
-    if A <= 0.0:
+        return 0.0, math.exp(math.log(p.b) / n)
+    w = _ref_w(p, u)
+    if w is None:
         raise DomainExceeded(p, theta)
-    return (A ** (p.n / (p.n - 1.0)) - p.b) / p.a
+    return p.b * math.expm1(n * w) / p.a, math.exp(w + math.log(p.b) / n)
 
 
 def _ref_rho(p, L):
     g = p.a * L + p.b
     if g <= 0.0:
         raise NonpositiveRho(g)
-    return g if _ref_class_one(p) else g ** (1.0 / p.n)
+    return g if _ref_n(p) == 1.0 else g ** (1.0 / p.n)
 
 
 def _ref_arc_length(p, theta):
-    return _ref_L(p, theta, (theta - p.theta0) + (p.phi.value(theta) - p.phi0))
+    return _ref_L_rho(p, theta, (theta - p.theta0) + (p.phi.value(theta) - p.phi0))[0]
 
 
 def _ref_point(p, theta):
@@ -427,8 +563,8 @@ def _ref_point(p, theta):
     except EvalDomainError:
         _ref_arc_length(p, theta)  # a domain exit is reported first
         raise
-    L = _ref_L(p, theta, (theta - p.theta0) + (pv.phi - p.phi0))
-    return L, _ref_rho(p, L), pv.phi, pv.dphi_dtheta
+    L, rho = _ref_L_rho(p, theta, (theta - p.theta0) + (pv.phi - p.phi0))
+    return L, rho, pv.phi, pv.dphi_dtheta
 
 
 def _ref_radius_at(p, theta):
@@ -439,7 +575,7 @@ def _ref_radius_at(p, theta):
 def _ref_sample_row(p, theta):
     try:
         L, rho, phi, dphi = _ref_point(p, theta)
-    except (DomainExceeded, NonpositiveRho, EvalDomainError, OverflowError):
+    except (DomainExceeded, EvalDomainError, OverflowError):
         return (theta,) + (math.nan,) * 8 + ((False,) * 4,)
     monotone = 1.0 + dphi
     R = rho * monotone * math.sin(phi)
@@ -454,7 +590,7 @@ def _ref_boundary(p, theta_bad):
         if mid == good or mid == bad:
             break
         try:
-            positive = _ref_base(p, (mid - p.theta0) + (p.phi.value(mid) - p.phi0)) > 0.0
+            positive = _ref_w(p, (mid - p.theta0) + (p.phi.value(mid) - p.phi0)) is not None
         except EvalDomainError:
             positive = False
         if positive:
@@ -503,8 +639,10 @@ KERNEL_CONFIGS = [
     (-1.0, -1.0, 1.0, 0.0, 5.0, "pi/2", ()),
     (0.5, -0.37, 1.3, 0.0, 5.0, "0.01*theta + 0.3", ()),
     (2.5, -0.8, 3.1, 0.0, 6.0, "sin(theta) + 1", ()),
-    # b^(1 - 1/n) at the ends of the float range; at n = -0.5 and b = 1e300
-    # it overflows, which arc_length must raise and construction must not
+    # b^(1 - 1/n) and b^(1/n) at the ends of the float range: at n = -0.5 it
+    # is 1e900 for b = 1e300 and 1e-900 for b = 1e-300, and x is carried as
+    # ln|x|; at n = 0.5 and b = 1e300, b^(1/n) = 1e600 overflows, which a
+    # point must raise and construction must not
     (0.5, 1.0, 1e300, 0.0, 1.0, "theta", ()),
     (0.5, 1.0, 1e-300, 0.0, 1.0, "theta", ()),
     (-0.5, 1.0, 1e300, 0.0, 1.0, "theta", ()),

@@ -70,16 +70,19 @@ class TestLcgClosedForm:
 
 def _lcg_by_theta(p, count):
     # the graph as it was computed before it was taken from the sample rows:
-    # arc length and rho evaluated again at each theta
+    # rho evaluated again at each theta, by the point where it evaluates and
+    # from phi's value alone where it does not, and a*L + b taken as rho^n
     scale = abs(p.n / p.a)
     points = []
     for theta in curve._grid(p, count):
         try:
-            L = curve.arc_length(p, theta)
-            rho = curve.radius_of_curvature(p, L)
+            try:
+                rho = p._kernel.point(theta)[1]
+            except curve.ROW_ERRORS:
+                rho = curve.arc_and_rho(p, theta)[1]
             if not rho > 0.0:
                 continue
-            points.append(LcgPoint(math.log(rho), math.log(scale * (p.a * L + p.b))))
+            points.append(LcgPoint(math.log(rho), math.log(scale * rho ** p.n)))
         except curve.ROW_ERRORS:
             continue
     return points
