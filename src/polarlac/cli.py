@@ -314,7 +314,7 @@ def cmd_lcg(cfg: RunConfig) -> int:
 
 
 def _is_compatible_spiral(params: _curve.CurveParams) -> bool:
-    if not params.is_class_one or depends_on_theta(params.phi.ast):
+    if params.n != 1.0 or depends_on_theta(params.phi.ast):
         return False
     sin0 = math.sin(params.phi0)
     if sin0 == 0.0:

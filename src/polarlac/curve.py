@@ -11,10 +11,10 @@ defined while x > -1, and from it
 
     L = b * expm1(n*w) / a,   a*L + b = b * exp(n*w),   rho = b^(1/n) * exp(w).
 
-w tends to a*u as n tends to 1, so the two cases are one family; n within
-CLASS_ONE_TOL of 1 is solved as n = 1.  expm1 and log1p keep L and rho
-accurate where a*L + b cancels and at the n = 1 seam.  L is exactly 0
-where u is, whatever the other terms are.  The radius follows as
+w tends to a*u as n tends to 1, so the two cases are one family, and n is
+taken as given: only n = 1 itself is solved as n = 1.  expm1 and log1p keep
+L and rho accurate where a*L + b cancels and at the n = 1 seam.  L is
+exactly 0 where u is, whatever the other terms are.  The radius follows as
 R = rho * (1 + f'(theta)) * sin f(theta).
 
 Each CurveParams compiles this form once, at construction, into a kernel of
@@ -36,9 +36,6 @@ from typing import Callable, NamedTuple
 
 from ._record import Record
 from .phiexpr import EvalDomainError, PhiFunction
-
-# |n - 1| at or below this is solved as n = 1
-CLASS_ONE_TOL = 1e-9
 
 _BISECT_TOL = 1e-12
 _GRID = 1024
@@ -114,10 +111,6 @@ class CurveParams(Record):
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "_kernel", _compile(self))
 
-    @property
-    def is_class_one(self) -> bool:
-        return abs(self.n - 1.0) <= CLASS_ONE_TOL
-
 
 class SampleValidity(NamedTuple):
     in_domain: bool
@@ -160,7 +153,8 @@ class _Kernel(NamedTuple):
     """The closed form of one curve, compiled by ``_compile``."""
 
     # u -> (L, rho); raises ValueError where x <= -1, as log1p does, and
-    # only there; OverflowError where x, L or rho leaves float range
+    # only there; OverflowError where u is not finite or x, L or rho leaves
+    # float range
     arc: Callable[[float], tuple[float, float]]
     point: Callable[[float], tuple[float, float, float, float]]  # theta -> (L, rho, phi, f')
     rows: Callable[[list[float]], list[CurveSample]]  # thetas -> sample rows
@@ -171,17 +165,17 @@ def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
     n_1, log1p = n - 1.0, math.log1p
     if not n_1:
         return lambda u: a * u
-    offset_power = 1.0 - 1.0 / n
+    offset_power, normal = 1.0 - 1.0 / n, sys.float_info.min
     try:
         base = b ** offset_power
         slope = a * (n_1 / n) / base  # x = slope*u
     except (OverflowError, ZeroDivisionError):
         base = slope = 0.0
-    if sys.float_info.min <= base < math.inf and abs(slope) < math.inf:
+    if normal <= base < math.inf and normal <= abs(slope) < math.inf:
         return lambda u: log1p(slope * u) / n_1
-    # b^(1 - 1/n) or x/u is out of float range, though L and rho need not
-    # be: x is carried as its sign and logarithm, t = ln|x|
-    log, exp, least = math.log, math.exp, math.log(sys.float_info.min)
+    # b^(1 - 1/n) or x/u is not a normal float, though L and rho need not
+    # be out of range: x is carried as its sign and logarithm, t = ln|x|
+    log, exp, least = math.log, math.exp, math.log(normal)
     log_slope = log(abs(a)) + log(abs(n_1)) - log(abs(n)) - offset_power * log(b)
     positive = (a > 0.0) == ((n_1 > 0.0) == (n > 0.0))
 
@@ -199,8 +193,7 @@ def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
 
 
 def _compile(p: CurveParams) -> _Kernel:
-    n = 1.0 if p.is_class_one else p.n
-    a, b = p.a, p.b
+    n, a, b = p.n, p.a, p.b
     phi, theta0, phi0 = p.phi, p.theta0, p.phi0
     log_rho0 = math.log(b) / n  # ln b^(1/n)
     exp, expm1 = math.exp, math.expm1
@@ -211,7 +204,9 @@ def _compile(p: CurveParams) -> _Kernel:
         # only where rho itself does
         if not u:
             return 0.0, exp(log_rho0)
-        w = turn(u)
+        w = turn(u)  # past the domain end, an infinite u raises here first
+        if u - u:  # u is inf or NaN, on which expm1 and exp do not raise
+            raise OverflowError("the turn is not finite")
         return b * expm1(n * w) / a, exp(w + log_rho0)
 
     def point(theta: float) -> tuple[float, float, float, float]:
@@ -295,7 +290,7 @@ def radius_of_curvature(p: CurveParams, L: float) -> float:
     g = p.a * L + p.b
     if g <= 0.0:
         raise NonpositiveRho(g)
-    return g ** (1.0 / (1.0 if p.is_class_one else p.n))
+    return g ** (1.0 / p.n)
 
 
 def radius_at(p: CurveParams, theta: float) -> float:
@@ -325,8 +320,9 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     """Evaluate the curve on a uniform theta grid.
 
     Rows past the domain boundary, or where rho or phi cannot be evaluated
-    (including float overflow), come back flagged instead of aborting the
-    batch: each row's ``valid`` is the shared IN_DOMAIN or FLAGGED.
+    (including float overflow and a turn that is not finite), come back
+    flagged instead of aborting the batch: each row's ``valid`` is the
+    shared IN_DOMAIN or FLAGGED.
     """
     return p._kernel.rows(_grid(p, count))
 

@@ -37,10 +37,10 @@ class ToleranceNotMet(ArithmeticError):
 
 
 class OdeBlowUp(ArithmeticError):
-    def __init__(self, theta_last: float, L_last: float):
-        super().__init__(
-            f"arc length exceeded {_BLOWUP_LIMIT:g}; last valid theta {theta_last!r}"
-        )
+    """The re-integration stopped; ``cause`` says why."""
+
+    def __init__(self, theta_last: float, L_last: float, cause: str = f"arc length exceeded {_BLOWUP_LIMIT:g}"):
+        super().__init__(f"{cause}; last valid theta {theta_last!r}")
         self.theta_last = theta_last
         self.L_last = L_last
 
@@ -171,62 +171,48 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
 
     a, b = p.a, p.b
     inv_n = 1.0 / p.n
+    # at n = 1 the slope a*L + b = b*exp(a*u) may round to 0 or below where
+    # a < 0, and g ** 1.0 is g itself, so a*L + b is checked only elsewhere
+    checked = p.n != 1.0
     du = u_total / steps
     half_du = 0.5 * du
-    us = [i * du for i in range(steps + 1)]
-    us[-1] = u_total
     Ls = [0.0]
-    slopes = []
     L = 0.0
     k = 0
     # the right-hand side dL/du = (a L + b)^(1/n) is written out at each
-    # stage, and k1 is the slope at the start of step k; for n = 1 the slope
-    # is a L + b itself, which is never rejected.  "not abs(L) <= limit"
-    # also holds for an L that is infinite or NaN
+    # stage, and k1 is the slope at the start of step k.  "not abs(L) <=
+    # limit" also holds for an L that is infinite or NaN
     try:
-        if p.is_class_one:
-            k1 = a * 0.0 + b
-            slopes.append(k1)
-            for k in range(steps):
-                k2 = a * (L + half_du * k1) + b
-                k3 = a * (L + half_du * k2) + b
-                k4 = a * (L + du * k3) + b
-                L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                if not abs(L) <= _BLOWUP_LIMIT:
-                    raise OverflowError
-                k1 = a * L + b
-                slopes.append(k1)
-                Ls.append(L)
-        else:
-            g = a * 0.0 + b
-            if g <= 0.0:
+        k1 = b ** inv_n  # the start slope b^(1/n) can itself overflow
+        for k in range(steps):
+            g = a * (L + half_du * k1) + b
+            if g <= 0.0 and checked:
                 raise NonpositiveRho(g)
-            k1 = g ** inv_n  # the start slope b^(1/n) can itself overflow
-            slopes.append(k1)
-            for k in range(steps):
-                g = a * (L + half_du * k1) + b
-                if g <= 0.0:
-                    raise NonpositiveRho(g)
-                k2 = g ** inv_n
-                g = a * (L + half_du * k2) + b
-                if g <= 0.0:
-                    raise NonpositiveRho(g)
-                k3 = g ** inv_n
-                g = a * (L + du * k3) + b
-                if g <= 0.0:
-                    raise NonpositiveRho(g)
-                k4 = g ** inv_n
-                L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                if not abs(L) <= _BLOWUP_LIMIT:
-                    raise OverflowError
-                g = a * L + b
-                if g <= 0.0:
-                    raise NonpositiveRho(g)
-                k1 = g ** inv_n
-                slopes.append(k1)
-                Ls.append(L)
-    except (OverflowError, NonpositiveRho):
-        raise OdeBlowUp(_theta_of_turn(p, us[k]), Ls[-1]) from None
+            k2 = g ** inv_n
+            g = a * (L + half_du * k2) + b
+            if g <= 0.0 and checked:
+                raise NonpositiveRho(g)
+            k3 = g ** inv_n
+            g = a * (L + du * k3) + b
+            if g <= 0.0 and checked:
+                raise NonpositiveRho(g)
+            k4 = g ** inv_n
+            L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not abs(L) <= _BLOWUP_LIMIT:
+                raise OverflowError
+            g = a * L + b
+            if g <= 0.0 and checked:
+                raise NonpositiveRho(g)
+            k1 = g ** inv_n
+            Ls.append(L)
+    except (OverflowError, NonpositiveRho) as exc:
+        if isinstance(exc, NonpositiveRho):
+            cause = str(exc)
+        elif abs(L) <= _BLOWUP_LIMIT:  # L was accepted, so a slope overflowed
+            cause = "(a*L + b)^(1/n) overflowed"
+        else:
+            cause = f"arc length exceeded {_BLOWUP_LIMIT:g}"
+        raise OdeBlowUp(_theta_of_turn(p, k * du), Ls[-1], cause) from None
 
     slack = 1e-9 * max(1.0, abs(u_total))
 
@@ -237,12 +223,15 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
             raise ValueError(f"theta={theta!r} is outside the integrated range")
         u = min(max(u, 0.0), u_total)
         k = min(int(u / du), steps - 1)
-        t = (u - us[k]) / du
+        t = (u - k * du) / du
+        L0, L1 = Ls[k], Ls[k + 1]
         h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
         h10 = t * (1.0 - t) ** 2
         h01 = t * t * (3.0 - 2.0 * t)
         h11 = t * t * (t - 1.0)
-        return h00 * Ls[k] + h10 * du * slopes[k] + h01 * Ls[k + 1] + h11 * du * slopes[k + 1]
+        # the end slopes, as the integration computed them
+        slope0, slope1 = (a * L0 + b) ** inv_n, (a * L1 + b) ** inv_n
+        return h00 * L0 + h10 * du * slope0 + h01 * L1 + h11 * du * slope1
 
     return dense
 

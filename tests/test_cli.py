@@ -410,8 +410,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "args",
         [
-            # n within 2e-9 of 1, past CLASS_ONE_TOL: L once came from a power
-            # base raised to about the power 5e8, and ode_vs_closed read 1e-7
+            # n within 2e-9 of 1: L once came from a power base raised to
+            # about the power 5e8, and ode_vs_closed read 1e-7
             ["--n", "1.000000002", "--theta1", "15", "--phi", "pi/2"],
             ["--n", "0.999999998", "--theta1", "15", "--phi", "pi/2"],
             # a compatible spiral with a < 0: rho once came from a*L + b,
@@ -423,6 +423,14 @@ class TestVerifyCommand:
     )
     def test_curves_whose_closed_form_once_cancelled_pass(self, tmp_path, args):
         assert run(args, tmp_path, sub="verify", extra=("--samples", "64")) == 0
+
+    def test_a_class_one_slope_that_decays_to_zero_is_not_rejected(self, tmp_path):
+        # at n = 1 the re-integrated slope a*L + b = b*exp(a*u) rounds to 0
+        # with a < 0; it is not raised to a power, and no positivity check
+        # may stop the oracle there
+        args = ["--n", "1", "--a", "-1000", "--theta1", "10", "--phi", "pi/2"]
+        assert run(args, tmp_path, sub="verify", extra=("--samples", "16")) == 0
+        assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] == 0.0
 
     def test_unresolvable_scale_fails_hard_check(self, tmp_path):
         # a genuine log spiral over a span too small for finite differences:

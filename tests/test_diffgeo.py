@@ -150,6 +150,23 @@ class TestOdeArcLength:
         # L = (1/5)(e^(5 theta) - 1) crosses 1e12 near theta = ln(5e12)/5
         assert 5.5 < exc.value.theta_last < 6.2
         assert exc.value.L_last <= 1e12
+        assert str(exc.value).startswith("arc length exceeded 1e+12; last valid theta ")
+
+    @pytest.mark.parametrize(
+        "n,a,b,cause",
+        [
+            # a*L + b reaches 0 at the domain end, theta = 2, before L is large
+            (2.0, -1.0, 1.0, r"a\*L \+ b = .* is not positive"),
+            # rho = (1 + L)^100 overflows near the domain end, u = 1/99
+            (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed"),
+            # the start slope b^(1/n) = 1e600 overflows
+            (0.5, 1.0, 1e300, r"\(a\*L \+ b\)\^\(1/n\) overflowed"),
+        ],
+    )
+    def test_blow_up_names_its_cause(self, n, a, b, cause):
+        p = params(n, a=a, b=b, theta1=5.0, phi="pi/8")
+        with pytest.raises(OdeBlowUp, match=f"^{cause}; last valid theta "):
+            ode_arc_length(p, 1000)
 
     @pytest.mark.parametrize("steps", [100, 200])
     def test_fourth_order_step_halving(self, fig4, steps):

@@ -60,8 +60,8 @@ class TestLcgClosedForm:
         assert lcg_closed_form(p, 5) == []
 
     def test_skips_rows_where_rho_is_nan(self):
-        # a*(n - 1) underflows to 0 and the turn overflows at theta1, so the
-        # power base there is 0 * inf
+        # a*(n - 1) underflows to 0, so x is carried as ln|x|, and the turn
+        # at theta1 overflows to inf: that row is flagged and skipped
         p = params(1.25, a=5e-324, theta0=-1.0, theta1=1.0, phi="1e308*theta")
         points = lcg_closed_form(p, 5)
         assert len(points) == 4
