@@ -17,14 +17,14 @@ L and rho accurate where a*L + b cancels and at the n = 1 seam.  L is
 exactly 0 where u is, whatever the other terms are.  The radius follows as
 R = rho * (1 + f'(theta)) * sin f(theta).
 
-Each CurveParams compiles this form once, at construction, into a kernel of
-closures, with the terms that depend only on the parameters folded there.
-b^(1/n) is carried as its logarithm, rho = exp(w + ln(b)/n), so a point
-raises OverflowError where rho itself leaves float range, never at
-construction.  Where b^(1 - 1/n) or x/u leaves float range, x is carried as
-its sign and ln|x|: such a curve keeps every point where |x| is at least
-the least normal float, and a point below that raises OverflowError rather
-than compute w from a subnormal.
+Each CurveParams compiles this form once, at construction, into one
+closure u -> (L, rho), with the terms that depend only on the parameters
+folded there.  b^(1/n) is carried as its logarithm, rho = exp(w + ln(b)/n),
+so a point raises OverflowError where L or rho itself leaves float range,
+never at construction.  Where b^(1 - 1/n) or x/u leaves float range, x is
+carried as its sign and ln|x|: such a curve keeps every point where |x| is
+at least the least normal float, and a point below that raises
+OverflowError rather than compute w from a subnormal.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class CurveParams(Record):
     """Full specification of one curve; immutable after construction."""
 
     _fields = ("n", "a", "b", "theta0", "theta1", "phi")
-    __slots__ = _fields + ("phi0", "_kernel")
+    __slots__ = _fields + ("phi0", "_arc")
 
     def __init__(self, n: float, a: float, b: float, theta0: float, theta1: float, phi: PhiFunction):
         super().__init__(n, a, b, theta0, theta1, phi)
@@ -109,7 +109,7 @@ class CurveParams(Record):
         if not math.isfinite(phi0):
             raise InvalidParameters("phi(theta0) is not finite")
         object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "_kernel", _compile(self))
+        object.__setattr__(self, "_arc", _compile(self.n, self.a, self.b))
 
 
 class SampleValidity(NamedTuple):
@@ -149,17 +149,6 @@ class ValidationReport(NamedTuple):
         return all(c.holds for c in self)
 
 
-class _Kernel(NamedTuple):
-    """The closed form of one curve, compiled by ``_compile``."""
-
-    # u -> (L, rho); raises ValueError where x <= -1, as log1p does, and
-    # only there; OverflowError where u is not finite or x, L or rho leaves
-    # float range
-    arc: Callable[[float], tuple[float, float]]
-    point: Callable[[float], tuple[float, float, float, float]]  # theta -> (L, rho, phi, f')
-    rows: Callable[[list[float]], list[CurveSample]]  # thetas -> sample rows
-
-
 def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
     # u -> w for a nonzero u: the one place the closed form forks
     n_1, log1p = n - 1.0, math.log1p
@@ -192,9 +181,10 @@ def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
     return turn
 
 
-def _compile(p: CurveParams) -> _Kernel:
-    n, a, b = p.n, p.a, p.b
-    phi, theta0, phi0 = p.phi, p.theta0, p.phi0
+def _compile(n: float, a: float, b: float) -> Callable[[float], tuple[float, float]]:
+    # u -> (L, rho); raises ValueError where x <= -1, as log1p does, and
+    # only there; OverflowError where u is not finite or x, L or rho leaves
+    # float range
     log_rho0 = math.log(b) / n  # ln b^(1/n)
     exp, expm1 = math.exp, math.expm1
     turn = _compile_turn(n, a, b)
@@ -207,36 +197,12 @@ def _compile(p: CurveParams) -> _Kernel:
         w = turn(u)  # past the domain end, an infinite u raises here first
         if u - u:  # u is inf or NaN, on which expm1 and exp do not raise
             raise OverflowError("the turn is not finite")
-        return b * expm1(n * w) / a, exp(w + log_rho0)
+        L = b * expm1(n * w) / a
+        if L - L:  # nor do * and /
+            raise OverflowError("L is not finite")
+        return L, exp(w + log_rho0)
 
-    def point(theta: float) -> tuple[float, float, float, float]:
-        # one evaluation of phi gives both the turn and f'; where phi has a
-        # value but no derivative, a domain exit is reported first
-        try:
-            v, d = phi.eval_with_derivative(theta)
-        except EvalDomainError:
-            arc_length(p, theta)
-            raise
-        return (*_arc_at(p, theta, (theta - theta0) + (v - phi0)), v, d)
-
-    def rows(thetas: list[float]) -> list[CurveSample]:
-        # point() and the row built from it, in one loop: a row that raises
-        # a row error anywhere, cos(inf) included, is flagged.  Past the
-        # domain arc raises ValueError, so no DomainExceeded is built
-        out = []
-        append, new, evaluate = out.append, tuple.__new__, phi.eval_with_derivative
-        sin, cos, in_domain = math.sin, math.cos, IN_DOMAIN
-        for theta in thetas:
-            try:
-                v, d = evaluate(theta)
-                L, r = arc((theta - theta0) + (v - phi0))
-                R = r * (1.0 + d) * sin(v)
-                append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
-            except ROW_ERRORS:
-                append(_invalid_sample(theta))
-        return out
-
-    return _Kernel(arc, point, rows)
+    return arc
 
 
 def turn_angle(p: CurveParams, theta: float) -> float:
@@ -247,7 +213,7 @@ def turn_angle(p: CurveParams, theta: float) -> float:
 def _domain_boundary(p: CurveParams, theta_bad: float) -> float:
     # x is 0 at theta0 and at most -1 at theta_bad; bisect the bracket down
     # to 1e-12 in theta
-    arc = p._kernel.arc
+    arc = p._arc
     good, bad = p.theta0, theta_bad
     while abs(bad - good) > _BISECT_TOL:
         mid = 0.5 * (good + bad)
@@ -264,20 +230,16 @@ def _domain_boundary(p: CurveParams, theta_bad: float) -> float:
     return good
 
 
-def _arc_at(p: CurveParams, theta: float, u: float) -> tuple[float, float]:
-    try:
-        return p._kernel.arc(u)
-    except ValueError:
-        raise DomainExceeded(p, theta) from None
-
-
 def arc_and_rho(p: CurveParams, theta: float) -> tuple[float, float]:
     """(L, rho) at theta, from phi's value alone: L is exactly zero at theta0.
 
     Raises DomainExceeded where x(theta) <= -1 (n != 1 only; at n = 1
     the curve is defined for every turn).
     """
-    return _arc_at(p, theta, turn_angle(p, theta))
+    try:
+        return p._arc(turn_angle(p, theta))
+    except ValueError:
+        raise DomainExceeded(p, theta) from None
 
 
 def arc_length(p: CurveParams, theta: float) -> float:
@@ -295,8 +257,18 @@ def radius_of_curvature(p: CurveParams, L: float) -> float:
 
 def radius_at(p: CurveParams, theta: float) -> float:
     """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative."""
-    _, rho, phi, dphi = p._kernel.point(theta)
-    return rho * (1.0 + dphi) * math.sin(phi)
+    # one evaluation of phi gives both the turn and f'; where phi has a
+    # value but no derivative, a domain exit is reported first
+    try:
+        v, d = p.phi.eval_with_derivative(theta)
+    except EvalDomainError:
+        arc_length(p, theta)
+        raise
+    try:
+        rho = p._arc((theta - p.theta0) + (v - p.phi0))[1]
+    except ValueError:
+        raise DomainExceeded(p, theta) from None
+    return rho * (1.0 + d) * math.sin(v)
 
 
 def _grid(p: CurveParams, count: int) -> list[float]:
@@ -324,7 +296,21 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     flagged instead of aborting the batch: each row's ``valid`` is the
     shared IN_DOMAIN or FLAGGED.
     """
-    return p._kernel.rows(_grid(p, count))
+    # a row that raises a row error anywhere, cos(inf) included, is
+    # flagged; past the domain arc raises ValueError, so no DomainExceeded
+    # is built
+    out = []
+    append, new, evaluate, arc = out.append, tuple.__new__, p.phi.eval_with_derivative, p._arc
+    sin, cos, in_domain, theta0, phi0 = math.sin, math.cos, IN_DOMAIN, p.theta0, p.phi0
+    for theta in _grid(p, count):
+        try:
+            v, d = evaluate(theta)
+            L, r = arc((theta - theta0) + (v - phi0))
+            R = r * (1.0 + d) * sin(v)
+            append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
+        except ROW_ERRORS:
+            append(_invalid_sample(theta))
+    return out
 
 
 def validate(p: CurveParams) -> ValidationReport:

@@ -47,12 +47,13 @@ def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
     """Graph points from the model, (ln rho, ln(|n/a| rho^n)), one per sample
     row of ``p``, skipping every row that raises a row error: past the
     domain boundary, rho or a logarithm out of range, phi not evaluable.
-    Since rho^n = a*L + b, the ordinate is taken from rho, which the kernel
-    computes without the cancellation a*L + b suffers.
+    Since rho^n = a*L + b, the ordinate is taken from rho, which the closed
+    form computes without the cancellation a*L + b suffers.
 
     A row in domain gives its own rho.  A flagged row is evaluated again
-    from its theta: where phi has a value but no derivative, as sqrt(theta)
-    at 0, the row is flagged and yet L and rho exist.
+    from its theta and phi's value alone, with no DomainExceeded built:
+    where phi has a value but no derivative, as sqrt(theta) at 0, the row
+    is flagged and yet L and rho exist.
     """
     scale, n = abs(p.n / p.a), p.n
     new, log = tuple.__new__, math.log
@@ -61,8 +62,8 @@ def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
         try:
             if row.valid.in_domain:
                 rho = row.rho
-            else:
-                rho = _curve.arc_and_rho(p, row.theta)[1]
+            else:  # past the domain end _arc raises ValueError, a row error
+                rho = p._arc(_curve.turn_angle(p, row.theta))[1]
             if not rho > 0.0:  # 0 or NaN, and math.log(NaN) does not raise
                 continue
             points.append(new(LcgPoint, (log(rho), log(scale * rho ** n))))

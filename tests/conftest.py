@@ -77,6 +77,13 @@ def row_model_case(args: tuple) -> CurveParams:
     return CurveParams(*numbers, parse(phi))
 
 
+def point(p: CurveParams, theta: float) -> tuple:
+    # (L, rho, phi, f') at theta, from one evaluation of phi's dual value
+    # and the curve's compiled arc; raises whatever either raises
+    v, d = p.phi.eval_with_derivative(theta)
+    return (*p._arc((theta - p.theta0) + (v - p.phi0)), v, d)
+
+
 @pytest.fixture
 def fig4():
     return params(1.0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from polarlac import CurveParams, arc_length, cli, curve, diffgeo, lcg, parse, radius_at, svgplot
 from polarlac.cli import main
 from polarlac.svgplot import NothingToPlot, render_polyline
-from conftest import load_schema
+from conftest import load_schema, point
 
 FIG4 = ["--n", "1", "--theta1", "15", "--phi", "pi/2"]
 FIG5 = ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"]
@@ -91,7 +91,7 @@ class TestSampleCommand:
         for line in lines:
             f = line.split(",")
             theta = float(f[0])
-            L, rho, _, _ = p._kernel.point(theta)
+            L, rho, _, _ = point(p, theta)
             assert float(f[1]) == L == arc_length(p, theta)
             assert float(f[2]) == radius_at(p, theta)
             assert float(f[3]) == rho

@@ -12,6 +12,7 @@ from polarlac import (
     DomainExceeded,
     NonpositiveRho,
     arc_length,
+    lcg_closed_form,
     parse,
     radius_at,
     radius_of_curvature,
@@ -20,7 +21,7 @@ from polarlac import (
 )
 from polarlac import curve
 from polarlac.phiexpr import EvalDomainError
-from conftest import ROW_MODEL_CASES, params, row_model_case
+from conftest import ROW_MODEL_CASES, params, point, row_model_case
 
 
 class TestCurveParams:
@@ -479,7 +480,7 @@ def test_an_underflowing_x_flags_the_point():
 def test_a_turn_that_is_not_finite_flags_the_row():
     # L = e^u - 1 overflows, and expm1 raises, from theta = -0.5 on; at
     # theta1 = 1 the turn is 2e308, which rounds to inf, and there expm1
-    # and exp return inf without raising, so the kernel must raise itself
+    # and exp return inf without raising, so arc must raise itself
     p = CurveParams(1.0, 1.0, 1.0, -1.0, 1.0, parse("1e308*theta"))
     rows = sample(p, 5)
     assert [r.valid.in_domain for r in rows] == [True, False, False, False, False]
@@ -487,6 +488,21 @@ def test_a_turn_that_is_not_finite_flags_the_row():
     for fn in (arc_length, radius_at, curve.arc_and_rho):
         with pytest.raises(OverflowError, match="not finite"):
             fn(p, 1.0)
+
+
+def test_an_L_that_overflows_flags_the_row():
+    # n = 1, a = 1e-20, b = 1e300: rho = b*e^(a*u) stays near 1e300, but
+    # L = b*expm1(a*u)/a passes 1.8e308 at about u = 1.8e8, and float * and
+    # / return inf without raising
+    p = CurveParams(1.0, 1e-20, 1e300, 0.0, 1e10, parse("pi/2"))
+    rows = sample(p, 3)
+    assert [r.valid.in_domain for r in rows] == [True, False, False]
+    assert all(math.isnan(v) for v in rows[-1][1:9])
+    for fn in (arc_length, radius_at, curve.arc_and_rho):
+        with pytest.raises(OverflowError, match="L is not finite"):
+            fn(p, 1e10)
+    # such a row gives no graph point, as a row whose rho overflows gives none
+    assert len(lcg_closed_form(p, 3)) == 1
 
 
 def test_a_subnormal_slope_keeps_the_curve():
@@ -566,7 +582,10 @@ def _ref_L_rho(p, theta, u):
         raise DomainExceeded(p, theta)
     if not math.isfinite(u):
         raise OverflowError("the turn is not finite")
-    return p.b * math.expm1(n * w) / p.a, math.exp(w + math.log(p.b) / n)
+    L = p.b * math.expm1(n * w) / p.a
+    if not math.isfinite(L):
+        raise OverflowError("L is not finite")
+    return L, math.exp(w + math.log(p.b) / n)
 
 
 def _ref_rho(p, L):
@@ -660,6 +679,8 @@ KERNEL_CONFIGS = [
     # domain exits with a < 0
     (2.0, -1.0, 1.0, 0.0, 5.0, "pi/8", ()),
     (-1.0, -1.0, 1.0, 0.0, 5.0, "pi/2", ()),
+    # L overflows in its last product while rho stays near b
+    (1.0, 1e-20, 1e300, 0.0, 1e10, "pi/2", ()),
     (0.5, -0.37, 1.3, 0.0, 5.0, "0.01*theta + 0.3", ()),
     (2.5, -0.8, 3.1, 0.0, 6.0, "sin(theta) + 1", ()),
     # b^(1 - 1/n) and b^(1/n) at the ends of the float range: at n = -0.5 it
@@ -697,12 +718,12 @@ def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, e
 
 
 def _sample_by_point(p, count):
-    # sample() as one kernel.point call per theta, the way it was before
-    # its loop was fused
+    # sample() as one point call per theta, the way it was before its loop
+    # was fused
     rows = []
     for theta in curve._grid(p, count):
         try:
-            L, rho, phi, dphi = p._kernel.point(theta)
+            L, rho, phi, dphi = point(p, theta)
         except curve.ROW_ERRORS:
             rows.append(curve.CurveSample(theta, *[math.nan] * 8, curve.SampleValidity(False)))
             continue

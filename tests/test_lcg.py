@@ -16,7 +16,7 @@ from polarlac import (
 )
 from polarlac.diffgeo import OracleReport, OracleRow, ResidualSummary
 from polarlac import curve
-from conftest import ROW_MODEL_CASES, params, row_model_case
+from conftest import ROW_MODEL_CASES, params, point, row_model_case
 
 
 class TestLcgClosedForm:
@@ -77,7 +77,7 @@ def _lcg_by_theta(p, count):
     for theta in curve._grid(p, count):
         try:
             try:
-                rho = p._kernel.point(theta)[1]
+                rho = point(p, theta)[1]
             except curve.ROW_ERRORS:
                 rho = curve.arc_and_rho(p, theta)[1]
             if not rho > 0.0:
@@ -104,6 +104,24 @@ def test_a_flagged_row_keeps_its_graph_point():
     rows = sample(p, 8)
     assert [r.valid.in_domain for r in rows] == [False] + [True] * 7
     assert len(lcg_points(p, rows)) == 8
+
+
+def test_rows_past_the_domain_build_no_domain_exceeded(monkeypatch):
+    # n = 2, a = -1: x = -u/2 reaches -1 at theta = 2, and every row from
+    # there to theta1 = 5 is flagged and evaluated again for its point
+    p = params(2.0, a=-1.0, theta1=5.0, phi="pi/8")
+    built = []
+    init = curve.DomainExceeded.__init__
+
+    def counting_init(self, p, theta):
+        built.append(theta)
+        init(self, p, theta)
+
+    monkeypatch.setattr(curve.DomainExceeded, "__init__", counting_init)
+    rows = sample(p, 256)
+    assert sum(not r.valid.in_domain for r in rows) > 100
+    assert lcg_points(p, rows)
+    assert built == []
 
 
 def _synthetic_report(rhos, step=0.1):
