@@ -1,10 +1,10 @@
 """Independent numeric differential geometry on the sampled trace.
 
 Everything here works from the radius function R(theta) alone, through
-central finite differences, adaptive Simpson quadrature, and a fixed-step
-fourth-order re-integration of the arc-length law.  None of it reuses the
-closed forms being checked, which is the whole point: curve.py predicts,
-this module measures.
+central finite differences, adaptive Simpson quadrature, and an
+error-controlled fifth-order re-integration of the arc-length law.  None of
+it reuses the closed forms being checked, which is the whole point: curve.py
+predicts, this module measures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ _SIMPSON_MAX_DEPTH = 48
 _SIMPSON_MAX_EVALS = 4096
 _NOISE_FLOOR = 2.0 ** -34
 _BLOWUP_LIMIT = 1e12
-_ODE_STEPS = 10_000
+# the re-integration's step budget beyond one per row: at _ODE_TOL an
+# exponential law takes about 270 steps per unit of a*u, so a*u up to 110
+_ODE_STEPS = 30_000
+# each step's error estimate relative to L: 1e-15 keeps every figure
+# configuration within 3e-15 of the closed form; 1e-14 doubled the n = 2 gaps
+_ODE_TOL = 1e-15
+# the shortest step relative to u, taken whatever its error: no shorter one
+# resolves the law, and at a singularity the pass steps in and a stage raises
+_ODE_MIN_STEP = 1e-14
 
 
 class DegeneratePoint(ArithmeticError):
@@ -139,72 +147,77 @@ def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: flo
     return _adaptive_simpson(g, theta_a, theta_b, fa, fm, fb, whole, _SIMPSON_TOL, 0)
 
 
-def _theta_of_turn(p: CurveParams, u_target: float) -> float:
-    # invert the monotone turn map by bisection; value-only phi evaluation
-    lo, hi = p.theta0, p.theta1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if turn_angle(p, mid) < u_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[float]:
+    """L at the turn of each in-domain row of ``rows`` (``curve.sample``'s),
+    in order, re-integrated from dL/du = (a*L + b)^(1/n) over the tangent
+    turn u, whose right-hand side is smooth even where f' is unbounded.
 
-
-def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
-    """Re-integrate dL = rho d(beta) with a classical fourth-order scheme.
-
-    The integration runs over the accumulated tangent turn u, where the law
-    reads dL/du = (aL + b)^(1/n) with a smooth right-hand side even when
-    f'(theta) is unbounded at an endpoint; dL/dtheta = (aL+b)^(1/n)(1+f')
-    follows by the chain rule since u is strictly increasing on a valid
-    domain.  Dense output comes from per-step cubic Hermite interpolation
-    in u, so the returned function maps any theta in [theta0, theta1] to L.
+    A row's turn comes from its theta and prescribed phi, never from L or
+    rho.  One pass of the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6,
+    1980) sizes each signed step by the pair's error estimate relative to L
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4), ends a step exactly
+    on each row's turn, and goes on to theta1's turn, so a law that blows up
+    before theta1 is caught whatever rows are flagged.  ``steps`` is the
+    budget of trial steps beyond one per row.  Raises OdeBlowUp, with the
+    last row theta reached, where the budget runs out, a*L + b at a stage is
+    not positive (n != 1), a slope overflows, or L exceeds 1e12.
     """
-    if steps < 100:
-        raise ValueError("steps must be at least 100")
     u_total = turn_angle(p, p.theta1)
     if not u_total > 0.0:
         raise ValueError("tangent turn must increase from theta0 to theta1")
 
-    a, b = p.a, p.b
+    a, b, theta0, phi0 = p.a, p.b, p.theta0, p.phi0
     inv_n = 1.0 / p.n
     # at n = 1 the slope a*L + b = b*exp(a*u) may round to 0 or below where
     # a < 0, and g ** 1.0 is g itself, so a*L + b is checked only elsewhere
     checked = p.n != 1.0
-    du = u_total / steps
-    half_du = 0.5 * du
-    Ls = [0.0]
-    L = 0.0
-    k = 0
-    # the right-hand side dL/du = (a L + b)^(1/n) is written out at each
-    # stage, and k1 is the slope at the start of step k.  "not abs(L) <=
-    # limit" also holds for an L that is infinite or NaN
+
+    def slope(L: float) -> float:
+        g = a * L + b
+        if g <= 0.0 and checked:
+            raise NonpositiveRho(g)
+        return g ** inv_n
+
+    targets = [(r.theta, (r.theta - theta0) + (r.phi - phi0)) for r in rows if r.valid.in_domain]
+    left = steps + len(rows)
+    Ls: list[float] = []
+    theta_last, L_last, u, L, lost = theta0, 0.0, 0.0, 0.0, 0.0
     try:
-        k1 = b ** inv_n  # the start slope b^(1/n) can itself overflow
-        for k in range(steps):
-            g = a * (L + half_du * k1) + b
-            if g <= 0.0 and checked:
-                raise NonpositiveRho(g)
-            k2 = g ** inv_n
-            g = a * (L + half_du * k2) + b
-            if g <= 0.0 and checked:
-                raise NonpositiveRho(g)
-            k3 = g ** inv_n
-            g = a * (L + du * k3) + b
-            if g <= 0.0 and checked:
-                raise NonpositiveRho(g)
-            k4 = g ** inv_n
-            L = L + du * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not abs(L) <= _BLOWUP_LIMIT:
-                raise OverflowError
-            g = a * L + b
-            if g <= 0.0 and checked:
-                raise NonpositiveRho(g)
-            k1 = g ** inv_n
-            Ls.append(L)
+        k1 = slope(0.0)  # the start slope b^(1/n) can itself overflow
+        # first try 1% of the turn over which a*L + b changes by its own size
+        rate = abs(a * k1) / b
+        h = min(0.01 / rate, u_total) if 0.0 < rate < math.inf else u_total
+        for theta, target in targets + [(None, u_total)]:
+            while u != target:
+                if not left:
+                    raise OdeBlowUp(theta_last, L_last, f"the budget of {steps} steps beyond one per row ran out")
+                left -= 1
+                step = max(h, _ODE_MIN_STEP * abs(u))
+                end = target if step >= abs(target - u) else u + math.copysign(step, target - u)
+                du = end - u
+                k2 = slope(L + du * (k1 / 5))
+                k3 = slope(L + du * (3 / 40 * k1 + 9 / 40 * k2))
+                k4 = slope(L + du * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+                k5 = slope(L + du * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
+                k6 = slope(L + du * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                                     - 5103 / 18656 * k5))
+                # lost, the rounding of the last accepted L + dL, goes into the
+                # next one (compensated summation): L does not drift over many steps
+                dL = du * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6) - lost
+                L_new = L + dL
+                k7 = slope(L_new)
+                # the gap between the fifth- and fourth-order solutions
+                err = abs(du * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
+                                + 22 / 525 * k6 - 1 / 40 * k7))
+                scale = _ODE_TOL * max(abs(L), abs(L_new))
+                if err <= scale or step > h:
+                    u, L, k1, lost = end, L_new, k7, (L_new - L) - dL
+                    if not abs(L) <= _BLOWUP_LIMIT:  # also holds for an L that is inf or NaN
+                        raise OverflowError
+                h = abs(du) * min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err else 5.0))
+            if theta is not None:
+                theta_last, L_last = theta, L
+                Ls.append(L)
     except (OverflowError, NonpositiveRho) as exc:
         if isinstance(exc, NonpositiveRho):
             cause = str(exc)
@@ -212,28 +225,8 @@ def ode_arc_length(p: CurveParams, steps: int) -> Callable[[float], float]:
             cause = "(a*L + b)^(1/n) overflowed"
         else:
             cause = f"arc length exceeded {_BLOWUP_LIMIT:g}"
-        raise OdeBlowUp(_theta_of_turn(p, k * du), Ls[-1], cause) from None
-
-    slack = 1e-9 * max(1.0, abs(u_total))
-
-    def dense(theta: float) -> float:
-        # cubic Hermite interpolation in u on the step that holds theta
-        u = turn_angle(p, theta)
-        if u < -slack or u > u_total + slack:
-            raise ValueError(f"theta={theta!r} is outside the integrated range")
-        u = min(max(u, 0.0), u_total)
-        k = min(int(u / du), steps - 1)
-        t = (u - k * du) / du
-        L0, L1 = Ls[k], Ls[k + 1]
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        # the end slopes, as the integration computed them
-        slope0, slope1 = (a * L0 + b) ** inv_n, (a * L1 + b) ** inv_n
-        return h00 * L0 + h10 * du * slope0 + h01 * L1 + h11 * du * slope1
-
-    return dense
+        raise OdeBlowUp(theta_last, L_last, cause) from None
+    return Ls
 
 
 class OracleRow(NamedTuple):
@@ -309,7 +302,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
                 known[t] = r
         return r
 
-    ode = ode_arc_length(p, _ODE_STEPS)
+    ode = iter(ode_arc_length(p, _ODE_STEPS, closed))
 
     seg = [0.0] * len(thetas)
     for i in range(1, len(thetas)):
@@ -351,10 +344,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
         # the re-integrated L needs only the closed-form row, not the trace,
         # so it stays measurable even when the numeric columns are not
         if c.valid.in_domain:
-            try:
-                ode_res.append(abs(ode(theta) - c.L) / max(abs(c.L), 1e-12))
-            except ROW_ERRORS:
-                pass
+            ode_res.append(abs(next(ode) - c.L) / max(abs(c.L), 1e-12))
         if degenerate:
             continue
         rho_res.append(abs(rho_num - c.rho) / abs(c.rho))

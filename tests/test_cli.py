@@ -432,6 +432,39 @@ class TestVerifyCommand:
         assert run(args, tmp_path, sub="verify", extra=("--samples", "16")) == 0
         assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] == 0.0
 
+    def test_a_long_sweep_is_re_integrated(self, tmp_path):
+        # a 1e6-radian turn in 3 rows: the steps grow with L, so the pass
+        # keeps its relative error at every scale of the turn
+        args = ["--n", "2", "--b", "2", "--theta1", "1e6", "--phi", "sin(theta)"]
+        assert run(args, tmp_path, sub="verify", extra=("--samples", "3")) == 0
+        ode = read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]
+        assert ode["count"] == 3
+        assert ode["max"] <= 1e-12
+
+    def test_a_long_exponential_turn_fits_the_step_budget(self, tmp_path):
+        # L = 1e-40 * expm1(u) stays below 1e12 over 100 radians; the pass
+        # takes about 27,000 steps there
+        args = ["--n", "1", "--b", "1e-40", "--theta1", "100", "--phi", "pi/2"]
+        assert run(args, tmp_path, sub="verify") == 0
+        assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] <= 1e-12
+
+    @pytest.mark.parametrize("samples", [3, 16, 512])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # a*L + b falls to 2.5e-7 at theta1: a trial step whose stages
+            # reached past the domain end would raise
+            ["--n", "2", "--a", "-1", "--theta1", "1.999", "--phi", "pi/2"],
+            ["--n", "3", "--a", "-1", "--theta1", "1.45", "--phi", "pi/2"],
+            # the turn is 2*theta, and the domain ends at theta = 0.75
+            ["--n", "1.5", "--a", "-2", "--theta1", "0.74", "--phi", "theta + pi/4"],
+        ],
+        ids=["n=2", "n=3", "n=1.5"],
+    )
+    def test_no_trial_step_reaches_past_the_domain_end(self, tmp_path, args, samples):
+        assert run(args, tmp_path, sub="verify", extra=("--samples", str(samples))) == 0
+        assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["count"] == samples
+
     def test_unresolvable_scale_fails_hard_check(self, tmp_path):
         # a genuine log spiral over a span too small for finite differences:
         # the compatibility gate must fail rather than pass vacuously
@@ -544,7 +577,7 @@ ESCAPE_IDS = ["verify-ln", "lcg-sqrt", "lcg-rho-not-positive", "svg-log-0", "svg
 @pytest.mark.parametrize(
     "argv,code",
     [
-        # b^(1/n) = 1e600 overflows at the first RK4 slope
+        # b^(1/n) = 1e600 overflows at the re-integration's first slope
         (["verify", "--n", "0.5", "--b", "1e300"], 2),
         (["lcg", "--n", "0.5", "--b", "1e300"], 2),
         # rho = b^(1/n) = 1e-600 underflows to 0, which has no logarithm
@@ -726,14 +759,15 @@ def test_output_files_honour_the_umask(tmp_path, umask, mode):
 
 
 # sha256 of every file verify and lcg write at 256 samples, recorded with
-# the one expm1/log1p closed form of the curve module (CPython 3.11, glibc,
-# x86-64 Linux).  A refactor must not move a byte; a libm whose sin, exp,
+# the one expm1/log1p closed form of the curve module, and verify.json with
+# the Dormand-Prince re-integration of the diffgeo module (CPython 3.11,
+# glibc, x86-64 Linux).  A refactor must not move a byte; a libm whose sin, exp,
 # expm1, log1p or pow round differently will.
 RECORDED_DIGESTS = [
     (
         ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
         {
-            "verify.json": "9ed6edb294c7c7a05014742b6b9f23db99c1ca5e7adb6828798f218fc5dea18d",
+            "verify.json": "ce510c11ea8e98c6209fff7e12382869c1ac93ab09a6f22c1e16c9a2d21c99d4",
             "lcg_closed.csv": "ac53be522f420cc6a38adb5308324e8abd6956d914c25d04bebadde150aa1577",
             "lcg_fit.json": "f63eaf1fc64fe1ce8b5661ef2915514a8c9b23a39dd4b94dc37afe09ee66eec3",
             "lcg_numeric.csv": "13473f26ae3ad53458ad4ed3b29daf22854dcd9339cd0efcd25f15d6e5dbc8af",
@@ -742,7 +776,7 @@ RECORDED_DIGESTS = [
     (
         ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
         {
-            "verify.json": "0940019cbc3604d3b97d12cd327e51d90e1f376b0b650cd3902790ab67ca0d04",
+            "verify.json": "2119a725848f682ef7333edb2c19135bf1f077a444696dfb22d494babde7b7b3",
             "lcg_closed.csv": "2fec18191a6a245683033f00e458b9ecaba17fe8ee7470a95691a0075f719416",
             "lcg_fit.json": "d311167eb45d1492b8108beeb6e789908c5c60ed9dc07142221c529482a8a17d",
             "lcg_numeric.csv": "ac4af45c3289054f2a93919f6e8e971bd6567455c2d26a4d6aa93d53463efe88",
@@ -751,7 +785,7 @@ RECORDED_DIGESTS = [
     (
         ["--n", "-2", "--theta0", "0.1", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"],
         {
-            "verify.json": "5df7995c074f4079182b6a3bc0002d4a59d791a8588aaed654a08c7d23dabacf",
+            "verify.json": "7dcdd0da8db557b70a3e9a53be02ba0c0a005839f679386baf5dab7fd1490bcd",
             "lcg_closed.csv": "00264be826516499bad1bd412df175188197c49db4bff0db0bf888d2c8b06b37",
             "lcg_fit.json": "ea29e447735028e1b8b38e4dc9387619666610a9ac89a8da180c487edab56344",
             "lcg_numeric.csv": "fa9ecd121583df2a63c1f9ea9ef3794d3d4c5a23956e14f2ed27aa7c669f4881",

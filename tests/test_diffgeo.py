@@ -112,43 +112,45 @@ class TestNumericArcLength:
 
 
 class TestOdeArcLength:
+    # L comes back at the turn of each in-domain row given, in order
+
     def test_exponential_family(self, fig4):
-        L = ode_arc_length(fig4, 10_000)
-        assert abs(L(1.0) - (math.e - 1.0)) / (math.e - 1.0) <= 1e-8
+        # L = e^theta - 1 at every row, theta = 0, 0.1, ..., 15
+        rows = curve.sample(fig4, 151)
+        L = ode_arc_length(fig4, 10_000, rows)
+        assert len(L) == 151 and L[0] == 0.0
+        for value, row in zip(L[1:], rows[1:]):
+            assert abs(value - math.expm1(row.theta)) <= 1e-8 * math.expm1(row.theta)
 
     def test_reciprocal_family(self, fig7):
-        L = ode_arc_length(fig7, 10_000)
-        assert abs(L(4.0) - 2.0) / 2.0 <= 1e-8
+        L = ode_arc_length(fig7, 10_000, curve.sample(fig7, 16))
+        assert abs(L[4] - 2.0) / 2.0 <= 1e-8
 
     @pytest.mark.parametrize("n", [2.0, -2.0])
     def test_square_root_phi_family(self, n):
+        # f' is unbounded at theta0, so the first row is flagged and gets no L
         p = params(n, theta1=5.0, phi="sqrt(theta) + 0.6")
-        L = ode_arc_length(p, 10_000)
+        L = ode_arc_length(p, 10_000, curve.sample(p, 2))
         closed = arc_length(p, 5.0)
-        assert abs(L(5.0) - closed) / abs(closed) <= 1e-8
-
-    def test_dense_output_interior(self, fig4):
-        L = ode_arc_length(fig4, 10_000)
-        closed = arc_length(fig4, 7.3)
-        assert abs(L(7.3) - closed) / closed <= 1e-8
-
-    def test_rejects_outside_range(self, fig4):
-        L = ode_arc_length(fig4, 200)
-        with pytest.raises(ValueError):
-            L(15.5)
-        with pytest.raises(ValueError):
-            L(-1.0)
+        assert len(L) == 1
+        assert abs(L[0] - closed) / abs(closed) <= 1e-8
 
     def test_rejects_few_steps(self, fig4):
-        with pytest.raises(ValueError):
-            ode_arc_length(fig4, 99)
+        # a budget that runs out raises and is named; the first row
+        # interval alone takes more than one step
+        rows = curve.sample(fig4, 16)
+        with pytest.raises(OdeBlowUp, match="^the budget of 0 steps beyond one per row ran out; last valid theta 0.0$"):
+            ode_arc_length(fig4, 0, rows)
+        assert len(ode_arc_length(fig4, 10_000, rows)) == 16
 
     def test_blow_up_reports_last_theta(self):
         p = params(1.0, a=5.0, theta1=10.0)
         with pytest.raises(OdeBlowUp) as exc:
-            ode_arc_length(p, 1000)
-        # L = (1/5)(e^(5 theta) - 1) crosses 1e12 near theta = ln(5e12)/5
-        assert 5.5 < exc.value.theta_last < 6.2
+            ode_arc_length(p, 10_000, curve.sample(p, 101))
+        # L = (1/5)(e^(5 theta) - 1) crosses 1e12 near theta = ln(5e12)/5,
+        # between the rows at 5.8 and 5.9
+        assert exc.value.theta_last == pytest.approx(5.8)
+        assert exc.value.L_last == pytest.approx(arc_length(p, exc.value.theta_last), rel=1e-12)
         assert exc.value.L_last <= 1e12
         assert str(exc.value).startswith("arc length exceeded 1e+12; last valid theta ")
 
@@ -166,15 +168,18 @@ class TestOdeArcLength:
     def test_blow_up_names_its_cause(self, n, a, b, cause):
         p = params(n, a=a, b=b, theta1=5.0, phi="pi/8")
         with pytest.raises(OdeBlowUp, match=f"^{cause}; last valid theta "):
-            ode_arc_length(p, 1000)
+            ode_arc_length(p, 10_000, curve.sample(p, 64))
 
-    @pytest.mark.parametrize("steps", [100, 200])
-    def test_fourth_order_step_halving(self, fig4, steps):
-        at = fig4.theta1
-        coarse = ode_arc_length(fig4, steps)(at)
-        fine = ode_arc_length(fig4, 2 * steps)(at)
-        closed = arc_length(fig4, at)
-        assert abs(coarse - fine) <= 16.0 * abs(fine - closed)
+    @pytest.mark.parametrize("count", [121, 241])
+    def test_fifth_order_row_halving(self, fig4, count, monkeypatch):
+        # with every step accepted, each row interval is one step once the
+        # first few have grown past the row spacing; halving the spacing
+        # cuts the error about 32-fold, where a fourth-order pair gives 16
+        monkeypatch.setattr(diffgeo, "_ODE_TOL", math.inf)
+        closed = arc_length(fig4, fig4.theta1)
+        coarse = ode_arc_length(fig4, 100, curve.sample(fig4, count))[-1]
+        fine = ode_arc_length(fig4, 100, curve.sample(fig4, 2 * count - 1))[-1]
+        assert abs(coarse - closed) >= 24.0 * abs(fine - closed) > 0.0
 
 
 class TestCompare:
@@ -221,13 +226,25 @@ class TestCompare:
         assert report.ode_residual.count == 31
         assert report.ode_residual.max <= 1e-8
 
+    def test_a_turn_that_goes_back_counts_every_row(self):
+        # 1 + f' = 1 + 2.4 cos(3 theta) < 0 on 21 of the 63 grid intervals,
+        # so the turn goes back and forth, and 3 rows turn further than
+        # theta1; each in-domain row is checked at its own turn
+        p = params(2.0, theta1=5.0, phi="0.8*sin(3*theta) + 1")
+        turns = [curve.turn_angle(p, r.theta) for r in curve.sample(p, 64)]
+        assert sum(b < a for a, b in zip(turns, turns[1:])) == 21
+        assert sum(u > turns[-1] for u in turns) == 3
+        report = compare(p, 64)
+        assert report.ode_residual.count == 64
+        assert report.ode_residual.max <= 1e-12
+
     def test_work_per_row(self, monkeypatch):
         # R at a grid theta comes from the sampled row, and the stencils
         # reuse the R values of the Simpson segments at theta +- h; R takes
-        # phi from its one dual evaluation, and the prescribed phi comes from
-        # the sampled row, so plain phi values remain only for the ODE
-        # check's turn at each row and the ODE's total turn.  At 1,024 rows
-        # of pi/8 that is 11,255 R calls and 1,025 phi values
+        # phi from its one dual evaluation, and the prescribed phi and the
+        # ODE check's turn at each row come from the sampled row, so plain
+        # phi values remain only for phi(theta0) and the ODE's total turn.
+        # At 1,024 rows of pi/8 that is 11,255 R calls and 2 phi values
         calls = {"R": 0, "phi": 0}
         radius_at_ = curve.radius_at
         value = PhiFunction.value
@@ -244,13 +261,12 @@ class TestCompare:
         monkeypatch.setattr(PhiFunction, "value", counted_value)
         compare(params(2.0, theta1=5.0, phi="pi/8"), 1024)
         assert calls["R"] <= 11.25 * 1024
-        assert calls["phi"] <= 1024 + 8
+        assert calls["phi"] <= 8
 
     def test_memory_stays_bounded_when_segments_exhaust_the_budget(self):
         # each of the 7 segments of a 1e6-radian sweep of an oscillating R
         # makes 12,288 R calls before it stops at the Simpson budget; keeping
-        # all of those values peaks near 7 MB, while the 10,001-step ODE
-        # output the oracle keeps takes about 1 MB
+        # all of those values peaks near 7 MB
         p = params(2.0, b=2.0, theta1=1e6, phi="sin(theta)")
         tracemalloc.start()
         try:
