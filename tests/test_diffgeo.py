@@ -122,6 +122,19 @@ class TestOdeArcLength:
         for value, row in zip(L[1:], rows[1:]):
             assert abs(value - math.expm1(row.theta)) <= 1e-8 * math.expm1(row.theta)
 
+    def test_dense_output_interior(self, fig4):
+        # a row at theta = 7.3, between the grid rows at 7 and 8, gets its
+        # own step end, and the rows around it keep theirs
+        rows = curve.sample(fig4, 16)
+        interior = curve.sample(params(1.0, theta1=7.3), 2)[-1]
+        assert interior.theta == 7.3
+        L = ode_arc_length(fig4, 10_000, rows[:8] + [interior] + rows[8:])
+        assert len(L) == 17
+        closed = arc_length(fig4, 7.3)
+        assert abs(L[8] - closed) / closed <= 1e-8
+        for value, row in zip(L[7:10:2], rows[7:9]):
+            assert abs(value - math.expm1(row.theta)) <= 1e-8 * math.expm1(row.theta)
+
     def test_reciprocal_family(self, fig7):
         L = ode_arc_length(fig7, 10_000, curve.sample(fig7, 16))
         assert abs(L[4] - 2.0) / 2.0 <= 1e-8
