@@ -181,7 +181,7 @@ def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[
     targets = [(r.theta, (r.theta - theta0) + (r.phi - phi0)) for r in rows if r.valid.in_domain]
     left = steps + len(rows)
     Ls: list[float] = []
-    theta_last, L_last, u, L, lost = theta0, 0.0, 0.0, 0.0, 0.0
+    theta_last, L_last, u, L, lost, du = theta0, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
         k1 = slope(0.0)  # the start slope b^(1/n) can itself overflow
         # first try 1% of the turn over which a*L + b changes by its own size
@@ -219,7 +219,9 @@ def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[
                 theta_last, L_last = theta, L
                 Ls.append(L)
     except (OverflowError, NonpositiveRho) as exc:
-        if isinstance(exc, NonpositiveRho):
+        # a stage overshoots below 0 also where slopes overflow, so a*L + b
+        # is named only where the step moves it down
+        if isinstance(exc, NonpositiveRho) and a * du < 0.0:
             cause = str(exc)
         elif abs(L) <= _BLOWUP_LIMIT:  # L was accepted, so a slope overflowed
             cause = "(a*L + b)^(1/n) overflowed"
@@ -282,37 +284,27 @@ def compare(p: CurveParams, count: int) -> OracleReport:
     without sampling again.  Rows where the numeric side is not measurable
     (endpoint domain failures, degenerate points, failed quadrature
     segments) are flagged degenerate and excluded from the residual
-    summaries rather than aborting the run."""
+    summaries rather than aborting the run.  Each row is measured in one
+    step: its stencils, then the Simpson segment ending there, then its
+    residuals."""
     closed = _curve.sample(p, count)
-    thetas = [row.theta for row in closed]
-
-    # the stencils and the two Simpson segments ending at a grid theta all
-    # ask for R at theta and at theta +- default_step(theta).  An in-domain
-    # row already holds R(theta), bitwise what radius_at gives; R at
-    # theta +- h is kept when first evaluated, and nothing else is, so each
-    # of these values is evaluated at most once, in bounded memory
-    known = {c.theta: c.R for c in closed if c.valid.in_domain}
-    shared = {t + s * default_step(t) for t in thetas for s in (-1.0, 1.0)}
-
-    def R(t: float) -> float:
-        r = known.get(t)
-        if r is None:
-            r = _curve.radius_at(p, t)
-            if t in shared:
-                known[t] = r
-        return r
-
     ode = iter(ode_arc_length(p, _ODE_STEPS, closed))
 
-    seg = [0.0] * len(thetas)
-    for i in range(1, len(thetas)):
-        try:
-            seg[i] = numeric_arc_length(R, thetas[i - 1], thetas[i])
-        except ROW_ERRORS:
-            seg[i] = math.nan
-    s_cum = [0.0] * len(thetas)
-    for i in range(1, len(thetas)):
-        s_cum[i] = s_cum[i - 1] + seg[i]
+    # a row's stencils keep the R values they evaluate, at theta and theta +-
+    # default_step (an in-domain row already holds R(theta), bitwise
+    # radius_at's); the segment ending at the row reads them, even after a
+    # DegeneratePoint, and keeps none of its own: memory grows with the rows
+    known: dict[float, float] = {}
+
+    def keep(t: float) -> float:
+        r = known.get(t)
+        if r is None:
+            r = known[t] = _curve.radius_at(p, t)
+        return r
+
+    def look(t: float) -> float:
+        r = known.get(t)
+        return _curve.radius_at(p, t) if r is None else r
 
     rows: list[OracleRow] = []
     rho_res: list[float] = []
@@ -320,27 +312,33 @@ def compare(p: CurveParams, count: int) -> OracleReport:
     arc_res: list[float] = []
     ode_res: list[float] = []
     degenerate_count = 0
+    s = 0.0
 
     for i, c in enumerate(closed):
         theta = c.theta
+        if c.valid.in_domain:
+            known[theta] = c.R
         try:
-            kappa = numeric_curvature(R, theta)
-            phi_act = numeric_phi(R, theta)
+            kappa = numeric_curvature(keep, theta)
+            phi_act = numeric_phi(keep, theta)
             rho_num = 1.0 / kappa if kappa != 0.0 else math.nan
         except ROW_ERRORS:
-            kappa = math.nan
-            phi_act = math.nan
-            rho_num = math.nan
+            kappa = phi_act = rho_num = math.nan
+        if i:
+            try:
+                s += numeric_arc_length(look, closed[i - 1].theta, theta)
+            except ROW_ERRORS:
+                s = math.nan
 
         degenerate = not (
             c.valid.in_domain
             and math.isfinite(kappa)
             and math.isfinite(rho_num)
-            and math.isfinite(s_cum[i])
+            and math.isfinite(s)
         )
         if degenerate:
             degenerate_count += 1
-        rows.append(OracleRow(theta, kappa, rho_num, s_cum[i], phi_act, degenerate))
+        rows.append(OracleRow(theta, kappa, rho_num, s, phi_act, degenerate))
         # the re-integrated L needs only the closed-form row, not the trace,
         # so it stays measurable even when the numeric columns are not
         if c.valid.in_domain:
@@ -350,7 +348,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
         rho_res.append(abs(rho_num - c.rho) / abs(c.rho))
         if math.isfinite(phi_act) and math.isfinite(c.phi):
             phi_res.append(_angle_distance_mod_pi(phi_act, c.phi))
-        arc_res.append(abs(s_cum[i] - c.L) / max(abs(c.L), 1e-12))
+        arc_res.append(abs(s - c.L) / max(abs(c.L), 1e-12))
 
     return OracleReport(
         rows=rows,

@@ -44,5 +44,8 @@ def test_traced_counts_repeat_and_add_up(tmp_path):
     assert m["curve.radius_at_calls_per_row"] > 0
     split = m["diffgeo.simpson_r_calls_per_row"] + m["diffgeo.stencil_r_calls_per_row"]
     assert abs(split - m["curve.radius_at_calls_per_row"]) < 1e-9
+    # every row of FIG is in domain and measurable, so its stencils evaluate
+    # R at theta +- h, and the Simpson segments read those values
+    assert m["diffgeo.stencil_r_calls_per_row"] == 2.0
     assert m["curve.closed_passes_per_run"] == 1.0
     assert cli.main.__module__ == "polarlac.cli"  # the wrappers were taken out again

@@ -168,20 +168,24 @@ class TestOdeArcLength:
         assert str(exc.value).startswith("arc length exceeded 1e+12; last valid theta ")
 
     @pytest.mark.parametrize(
-        "n,a,b,cause",
+        "n,a,b,cause,count",
         [
             # a*L + b reaches 0 at the domain end, theta = 2, before L is large
-            (2.0, -1.0, 1.0, r"a\*L \+ b = .* is not positive"),
+            (2.0, -1.0, 1.0, r"a\*L \+ b = .* is not positive", 64),
             # rho = (1 + L)^100 overflows near the domain end, u = 1/99
-            (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed"),
+            (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
             # the start slope b^(1/n) = 1e600 overflows
-            (0.5, 1.0, 1e300, r"\(a\*L \+ b\)\^\(1/n\) overflowed"),
+            (0.5, 1.0, 1e300, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
+            # huge slopes send a stage of a rising a*L + b below 0; the cause
+            # is still the overflow, whatever the row count
+            (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 1024),
+            (0.3, 2.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
         ],
     )
-    def test_blow_up_names_its_cause(self, n, a, b, cause):
+    def test_blow_up_names_its_cause(self, n, a, b, cause, count):
         p = params(n, a=a, b=b, theta1=5.0, phi="pi/8")
         with pytest.raises(OdeBlowUp, match=f"^{cause}; last valid theta "):
-            ode_arc_length(p, 10_000, curve.sample(p, 64))
+            ode_arc_length(p, 10_000, curve.sample(p, count))
 
     @pytest.mark.parametrize("count", [121, 241])
     def test_fifth_order_row_halving(self, fig4, count, monkeypatch):
@@ -239,6 +243,20 @@ class TestCompare:
         assert report.ode_residual.count == 31
         assert report.ode_residual.max <= 1e-8
 
+    def test_a_degenerate_row_lends_r_to_both_its_segments(self):
+        # 1 + f' = (theta - 1)^4, so R and R' vanish at theta = 1: row 1's
+        # stencil raises, but the R values it evaluated still end segment 1
+        # and start segment 2
+        p = params(1.0, theta1=2.0, phi="(theta - 1)^5/5 - theta + 2")
+        report = compare(p, 3)
+        assert [r.degenerate for r in report.rows] == [False, True, False]
+
+        def R(t):
+            return radius_at(p, t)
+
+        s = numeric_arc_length(R, 0.0, 1.0) + numeric_arc_length(R, 1.0, 2.0)
+        assert report.rows[2].s_numeric == s == pytest.approx(1.30481262, rel=1e-8)
+
     def test_a_turn_that_goes_back_counts_every_row(self):
         # 1 + f' = 1 + 2.4 cos(3 theta) < 0 on 21 of the 63 grid intervals,
         # so the turn goes back and forth, and 3 rows turn further than
@@ -252,8 +270,8 @@ class TestCompare:
         assert report.ode_residual.max <= 1e-12
 
     def test_work_per_row(self, monkeypatch):
-        # R at a grid theta comes from the sampled row, and the stencils
-        # reuse the R values of the Simpson segments at theta +- h; R takes
+        # R at a grid theta comes from the sampled row, and the Simpson
+        # segments reuse the R values of the stencils at theta +- h; R takes
         # phi from its one dual evaluation, and the prescribed phi and the
         # ODE check's turn at each row come from the sampled row, so plain
         # phi values remain only for phi(theta0) and the ODE's total turn.
