@@ -1,14 +1,15 @@
 """Independent numeric differential geometry on the sampled trace.
 
 Everything here works from the radius function R(theta) alone, through
-central finite differences, adaptive Simpson quadrature, and an
-error-controlled fifth-order re-integration of the arc-length law.  None of
-it reuses the closed forms being checked, which is the whole point: curve.py
-predicts, this module measures.
+central finite differences, Romberg-extrapolated lengths of inscribed
+polygons, and an error-controlled fifth-order re-integration of the
+arc-length law.  None of it reuses the closed forms being checked, which is
+the whole point: curve.py predicts, this module measures.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -16,13 +17,11 @@ from . import curve as _curve
 from .curve import ROW_ERRORS, CurveParams, CurveSample, NonpositiveRho, turn_angle
 
 _DEGENERATE_FLOOR = 1e-24
-_SIMPSON_TOL = 1e-10
-_SIMPSON_MAX_DEPTH = 48
-# integrand evaluations one numeric_arc_length call may make: 16 times the
-# most that any grid segment of the test suite or the benchmark needs (257),
-# and 3 times what one segment over a whole figure range needs (1345)
-_SIMPSON_MAX_EVALS = 4096
-_NOISE_FLOOR = 2.0 ** -34
+_ARC_TOL = 1e-10
+# R calls one numeric_arc_length call may make: the 8,193 points of 8,192
+# chords fit, 16,385 do not; one segment over all of a figure's [0, 15]
+# takes 1,025
+_ARC_MAX_R_CALLS = 12_288
 _BLOWUP_LIMIT = 1e12
 # the re-integration's step budget beyond one per row: at _ODE_TOL an
 # exponential law takes about 270 steps per unit of a*u, so a*u up to 110
@@ -40,7 +39,7 @@ class DegeneratePoint(ArithmeticError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    def __init__(self, a: float, b: float, limit: str = "max refinement depth"):
+    def __init__(self, a: float, b: float, limit: str):
         super().__init__(f"quadrature on [{a!r}, {b!r}] hit {limit}")
 
 
@@ -90,61 +89,45 @@ def numeric_phi(R: Callable[[float], float], theta: float, h: float | None = Non
     return v
 
 
-def _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    refined = left + right
-    err = abs(refined - whole)
-    # the integrand carries central-difference noise of about
-    # eps/(2 * 1e-5) ~ 1e-11 relative, so below that scale the error
-    # estimate is round-off, not truncation; refining further only recurses
-    # on noise without converging
-    if err <= 15.0 * tol or err <= _NOISE_FLOOR * abs(refined):
-        return refined + (refined - whole) / 15.0
-    if depth >= _SIMPSON_MAX_DEPTH:
-        raise ToleranceNotMet(a, b)
-    half = 0.5 * tol
-    return _adaptive_simpson(g, a, m, fa, flm, fm, left, half, depth + 1) + _adaptive_simpson(
-        g, m, b, fm, frm, fb, right, half, depth + 1
-    )
-
-
 def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: float) -> float:
-    """Geometric arc length: adaptive Simpson quadrature of sqrt(R^2 + R'^2)
-    to absolute tolerance 1e-10, R' by central difference.
+    """Geometric arc length of the trace P(theta) = R(theta) * (cos theta,
+    sin theta) on [theta_a, theta_b], from R alone: the lengths of its
+    inscribed polygons with 1, 2, 4, ... equal chords, each reusing the
+    points of the last, extrapolated by Romberg's scheme, since a chord sum's
+    error is a series in even powers of the chord's span (Press et al.,
+    Numerical Recipes, 3rd ed., 4.3).  Returns once two successive
+    extrapolations, from four chords on, agree to 1e-10, or on a longer
+    trace to their own round-off.
 
-    Raises ToleranceNotMet when the quadrature reaches its maximum depth,
-    or when it would evaluate the integrand more than _SIMPSON_MAX_EVALS
-    times (three R calls each): a long, oscillating segment cannot run
-    unbounded.
+    Raises ToleranceNotMet when the next polygon would take the R calls past
+    _ARC_MAX_R_CALLS: a long, oscillating segment cannot run unbounded.
     """
     if theta_a > theta_b:
         raise ValueError("theta_a must not exceed theta_b")
     if theta_a == theta_b:
         return 0.0
-    evals = 0
-
-    def g(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > _SIMPSON_MAX_EVALS:
-            raise ToleranceNotMet(
-                theta_a, theta_b, f"its budget of {_SIMPSON_MAX_EVALS} integrand evaluations"
-            )
-        # sqrt(R^2 + R'^2), with default_step and the central difference inline
-        h = 1e-5 * max(1.0, abs(t))
-        return math.hypot(R(t), (R(t + h) - R(t - h)) / (2.0 * h))
-
-    fa = g(theta_a)
-    fb = g(theta_b)
-    fm = g(0.5 * (theta_a + theta_b))
-    whole = (theta_b - theta_a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(g, theta_a, theta_b, fa, fm, fb, whole, _SIMPSON_TOL, 0)
+    span = theta_b - theta_a
+    points = [cmath.rect(R(theta_a), theta_a), cmath.rect(R(theta_b), theta_b)]
+    last = [abs(points[1] - points[0])]  # the last row of the Romberg tableau
+    while True:
+        m = len(points) - 1
+        if len(points) + m > _ARC_MAX_R_CALLS:
+            raise ToleranceNotMet(theta_a, theta_b, f"its budget of {_ARC_MAX_R_CALLS} R calls")
+        step = span / (2 * m)
+        refined = [0j] * (2 * m + 1)
+        refined[::2] = points
+        refined[1::2] = [cmath.rect(R(t), t) for t in (theta_a + (2 * j + 1) * step for j in range(m))]
+        points = refined
+        row = [math.fsum(abs(q - p) for p, q in zip(points, points[1:]))]
+        for j, coarse in enumerate(last, 1):
+            row.append(row[-1] + (row[-1] - coarse) / (4 ** j - 1))
+        # the round-off is 16 ulps of the length: a polygon's chords and
+        # their fsum are off by at most 4 ulps, the Romberg weights' absolute
+        # sum stays below 2, and the gap takes two values.  It passes 1e-10
+        # from a length of 2^15 on
+        if m > 1 and abs(row[-1] - last[-1]) <= max(_ARC_TOL, 16 * math.ulp(row[-1])):
+            return row[-1]
+        last = row
 
 
 def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[float]:
@@ -285,25 +268,25 @@ def compare(p: CurveParams, count: int) -> OracleReport:
     (endpoint domain failures, degenerate points, failed quadrature
     segments) are flagged degenerate and excluded from the residual
     summaries rather than aborting the run.  Each row is measured in one
-    step: its stencils, then the Simpson segment ending there, then its
+    step: its stencils, then the arc-length segment ending there, then its
     residuals."""
     closed = _curve.sample(p, count)
     ode = iter(ode_arc_length(p, _ODE_STEPS, closed))
 
-    # a row's stencils keep the R values they evaluate, at theta and theta +-
-    # default_step (an in-domain row already holds R(theta), bitwise
-    # radius_at's); the segment ending at the row reads them, even after a
-    # DegeneratePoint, and keeps none of its own: memory grows with the rows
-    known: dict[float, float] = {}
+    # one row's R values: the row's own and the previous row's, which an
+    # in-domain row holds bitwise radius_at's, and R at theta +- default_step,
+    # which the first stencil evaluates and the second reads; the segment
+    # between the two rows reads its ends here and keeps none of its own
+    near: dict[float, float] = {}
 
     def keep(t: float) -> float:
-        r = known.get(t)
+        r = near.get(t)
         if r is None:
-            r = known[t] = _curve.radius_at(p, t)
+            r = near[t] = _curve.radius_at(p, t)
         return r
 
     def look(t: float) -> float:
-        r = known.get(t)
+        r = near.get(t)
         return _curve.radius_at(p, t) if r is None else r
 
     rows: list[OracleRow] = []
@@ -316,8 +299,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
 
     for i, c in enumerate(closed):
         theta = c.theta
-        if c.valid.in_domain:
-            known[theta] = c.R
+        near = {r.theta: r.R for r in closed[max(i - 1, 0):i + 1] if r.valid.in_domain}
         try:
             kappa = numeric_curvature(keep, theta)
             phi_act = numeric_phi(keep, theta)

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -730,9 +731,9 @@ def polyline_points(svg_text):
 
 
 def test_unbounded_quadrature_input_ends_in_exit_5(tmp_path, monkeypatch):
-    # two 5e5-radian segments of an oscillating R: each stops at the Simpson
-    # evaluation budget, every row turns degenerate, and the graph has no
-    # points left to fit
+    # two 5e5-radian segments of an oscillating R: each stops at the
+    # arc-length budget of R calls, every row turns degenerate, and the graph
+    # has no points left to fit
     calls = []
     radius = curve.radius_at
 
@@ -743,8 +744,8 @@ def test_unbounded_quadrature_input_ends_in_exit_5(tmp_path, monkeypatch):
     monkeypatch.setattr(curve, "radius_at", counting)
     argv = ["--n", "2", "--b", "2", "--theta1", "1e6", "--phi", "sin(theta)", "--samples", "3"]
     assert run(argv, tmp_path, sub="lcg") == 5
-    # three R calls per integrand evaluation, plus the stencils of 3 rows
-    assert len(calls) <= 2 * 3 * diffgeo._SIMPSON_MAX_EVALS + 3 * 3
+    # the budget per segment, plus the stencils of 3 rows
+    assert len(calls) <= 2 * diffgeo._ARC_MAX_R_CALLS + 3 * 3
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -759,36 +760,37 @@ def test_output_files_honour_the_umask(tmp_path, umask, mode):
 
 
 # sha256 of every file verify and lcg write at 256 samples, recorded with
-# the one expm1/log1p closed form of the curve module, and verify.json with
-# the Dormand-Prince re-integration of the diffgeo module (CPython 3.11,
-# glibc, x86-64 Linux).  A refactor must not move a byte; a libm whose sin, exp,
-# expm1, log1p or pow round differently will.
+# the one expm1/log1p closed form of the curve module, verify.json with the
+# Dormand-Prince re-integration of the diffgeo module, and the numeric
+# graph and verify.json with its Romberg-extrapolated chord arc length
+# (CPython 3.11, glibc, x86-64 Linux).  A refactor must not move a byte; a
+# libm whose sin, cos, exp, expm1, log1p, pow or hypot round differently will.
 RECORDED_DIGESTS = [
     (
         ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
         {
-            "verify.json": "ce510c11ea8e98c6209fff7e12382869c1ac93ab09a6f22c1e16c9a2d21c99d4",
+            "verify.json": "21790ce2b1d7f7f94ce8570dcf29ccda77c526a935b05f781ace021f4b453e2a",
             "lcg_closed.csv": "ac53be522f420cc6a38adb5308324e8abd6956d914c25d04bebadde150aa1577",
-            "lcg_fit.json": "f63eaf1fc64fe1ce8b5661ef2915514a8c9b23a39dd4b94dc37afe09ee66eec3",
-            "lcg_numeric.csv": "13473f26ae3ad53458ad4ed3b29daf22854dcd9339cd0efcd25f15d6e5dbc8af",
+            "lcg_fit.json": "ac6f98e0869a7e46f4e7722938dd1dfdcb451d58b1d0d08af9f9b7e3df751a3f",
+            "lcg_numeric.csv": "fc140c0c73023734a7b67be4101625dbef3efc30bce52e4fbccf522d1adeb4dc",
         },
     ),
     (
         ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
         {
-            "verify.json": "2119a725848f682ef7333edb2c19135bf1f077a444696dfb22d494babde7b7b3",
+            "verify.json": "abfc1296b703fa885313c12c9da1d1c05ddb13dddb53d9bfa42b56a7766db3ba",
             "lcg_closed.csv": "2fec18191a6a245683033f00e458b9ecaba17fe8ee7470a95691a0075f719416",
-            "lcg_fit.json": "d311167eb45d1492b8108beeb6e789908c5c60ed9dc07142221c529482a8a17d",
-            "lcg_numeric.csv": "ac4af45c3289054f2a93919f6e8e971bd6567455c2d26a4d6aa93d53463efe88",
+            "lcg_fit.json": "ab0b9a4cca169af27467191dab0a55a5adeddb7e5e100cc7d209ce775aa7575d",
+            "lcg_numeric.csv": "430c370982e3aa57c028d26a145a0ae36bbc910592c496ad22ce4bdb182b5140",
         },
     ),
     (
         ["--n", "-2", "--theta0", "0.1", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"],
         {
-            "verify.json": "7dcdd0da8db557b70a3e9a53be02ba0c0a005839f679386baf5dab7fd1490bcd",
+            "verify.json": "3c8f696e0d68af5bf8b6c9a55364d3d82fc46cdac557b57cc65730c9818bb8ac",
             "lcg_closed.csv": "00264be826516499bad1bd412df175188197c49db4bff0db0bf888d2c8b06b37",
-            "lcg_fit.json": "ea29e447735028e1b8b38e4dc9387619666610a9ac89a8da180c487edab56344",
-            "lcg_numeric.csv": "fa9ecd121583df2a63c1f9ea9ef3794d3d4c5a23956e14f2ed27aa7c669f4881",
+            "lcg_fit.json": "9edab8787852ed7d4abaf5b54b776c78031cb290346f1301d98ffa7cb8960d0c",
+            "lcg_numeric.csv": "823afc28d401bcbc7f03c9435c4ed16feec2fb7a4275f46877068fd671acef73",
         },
     ),
 ]
@@ -853,6 +855,54 @@ def test_outputs_across_blocks_match_recorded_digests(tmp_path, sub, index):
     assert run(DENSE_CONFIGS[index], tmp_path, sub=sub, extra=("--samples", "2500")) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert written == BLOCK_DIGESTS[sub][index]
+
+
+# runs each (subcommand, argv, out) job of argv[1] through the CLI, all in
+# one process, and stops at the first that does not exit 0
+_DIGEST_DRIVER = """
+import json, sys
+from polarlac.cli import main
+for sub, argv, out in json.loads(sys.argv[1]):
+    if main([sub, *argv, "--out", out]):
+        sys.exit(f"{sub} {argv} did not exit 0")
+"""
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_other_pythons_write_the_recorded_digests(tmp_path, python):
+    # criterion 8's identical bytes on another interpreter, which needs no
+    # test dependency to run the CLI from src/; one that is missing or does
+    # not start (a pyenv shim with no such version exits 127) is skipped
+    exe = shutil.which(python)
+    if exe is None:
+        pytest.skip(f"{python} is not on PATH")
+    probe = subprocess.run(
+        [exe, "-c", "import sys; print(sys.version.split()[0])"], capture_output=True, text=True, timeout=60
+    )
+    if probe.returncode != 0:
+        pytest.skip(f"{python} does not start (exit {probe.returncode})")
+    expected, jobs = {}, []
+    for i, (config, digests) in enumerate(RECORDED_DIGESTS):
+        for sub in ("verify", "lcg"):
+            out = tmp_path / f"{sub}{i}"
+            jobs.append((sub, [*config, "--samples", "256"], str(out)))
+            expected[out.name] = {k: v for k, v in digests.items() if k.startswith(sub)}
+    for sub, configs in BLOCK_DIGESTS.items():
+        for i, digests in enumerate(configs):
+            out = tmp_path / f"{sub}{i}"
+            jobs.append((sub, [*DENSE_CONFIGS[i], "--samples", "2500"], str(out)))
+            expected[out.name] = digests
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [exe, "-c", _DIGEST_DRIVER, json.dumps(jobs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = {
+        name: {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (tmp_path / name).iterdir()}
+        for name in expected
+    }
+    assert written == expected, f"{python} is Python {probe.stdout.strip()}"
 
 
 class TestSvgCommand:
