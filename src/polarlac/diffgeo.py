@@ -2,9 +2,9 @@
 
 Everything here works from the radius function R(theta) alone, through
 central finite differences, Romberg-extrapolated lengths of inscribed
-polygons, and an error-controlled fifth-order re-integration of the
-arc-length law.  None of it reuses the closed forms being checked, which is
-the whole point: curve.py predicts, this module measures.
+polygons, and an error-controlled fifth-order re-integration of the law in
+ln(a*L + b).  None of it reuses the closed forms being checked, which is the
+whole point: curve.py predicts, this module measures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import curve as _curve
-from .curve import ROW_ERRORS, CurveParams, CurveSample, NonpositiveRho, turn_angle
+from .curve import ROW_ERRORS, CurveParams, CurveSample, turn_angle
 
 _DEGENERATE_FLOOR = 1e-24
 _ARC_TOL = 1e-10
@@ -23,11 +23,12 @@ _ARC_TOL = 1e-10
 # takes 1,025
 _ARC_MAX_R_CALLS = 12_288
 _BLOWUP_LIMIT = 1e12
-# the re-integration's step budget beyond one per row: at _ODE_TOL an
-# exponential law takes about 270 steps per unit of a*u, so a*u up to 110
+# the re-integration's step budget beyond one per row: an exponential law,
+# whose slope in y is constant, takes a few steps, and n = 2 over 1,000
+# radians about 1,700
 _ODE_STEPS = 30_000
 # each step's error estimate relative to L: 1e-15 keeps every figure
-# configuration within 3e-15 of the closed form; 1e-14 doubled the n = 2 gaps
+# configuration within 4e-15 of the closed form
 _ODE_TOL = 1e-15
 # the shortest step relative to u, taken whatever its error: no shorter one
 # resolves the law, and at a singularity the pass steps in and a stage raises
@@ -99,8 +100,9 @@ def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: flo
     extrapolations, from four chords on, agree to 1e-10, or on a longer
     trace to their own round-off.
 
-    Raises ToleranceNotMet when the next polygon would take the R calls past
-    _ARC_MAX_R_CALLS: a long, oscillating segment cannot run unbounded.
+    Raises ToleranceNotMet at the first polygon whose length is not finite,
+    or when the next polygon would take the R calls past _ARC_MAX_R_CALLS: a
+    long, oscillating segment cannot run unbounded.
     """
     if theta_a > theta_b:
         raise ValueError("theta_a must not exceed theta_b")
@@ -119,6 +121,8 @@ def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: flo
         refined[1::2] = [cmath.rect(R(t), t) for t in (theta_a + (2 * j + 1) * step for j in range(m))]
         points = refined
         row = [math.fsum(abs(q - p) for p, q in zip(points, points[1:]))]
+        if not math.isfinite(row[0]):  # no refinement makes it finite
+            raise ToleranceNotMet(theta_a, theta_b, "a polygon length that is not finite")
         for j, coarse in enumerate(last, 1):
             row.append(row[-1] + (row[-1] - coarse) / (4 ** j - 1))
         # the round-off is 16 ulps of the length: a polygon's chords and
@@ -133,43 +137,39 @@ def numeric_arc_length(R: Callable[[float], float], theta_a: float, theta_b: flo
 def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[float]:
     """L at the turn of each in-domain row of ``rows`` (``curve.sample``'s),
     in order, re-integrated from dL/du = (a*L + b)^(1/n) over the tangent
-    turn u, whose right-hand side is smooth even where f' is unbounded.
+    turn u, whose right-hand side is smooth even where f' is unbounded.  The
+    pass carries y = ln((a*L + b)/b), in which a*L + b = b*e^y is positive by
+    construction: dy/du = a*(a*L + b)^(1/n - 1), and L = b*expm1(y)/a.
 
     A row's turn comes from its theta and prescribed phi, never from L or
     rho.  One pass of the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6,
-    1980) sizes each signed step by the pair's error estimate relative to L
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.4), ends a step exactly
-    on each row's turn, and goes on to theta1's turn, so a law that blows up
-    before theta1 is caught whatever rows are flagged.  ``steps`` is the
-    budget of trial steps beyond one per row.  Raises OdeBlowUp, with the
-    last row theta reached, where the budget runs out, a*L + b at a stage is
-    not positive (n != 1), a slope overflows, or L exceeds 1e12.
+    1980) sizes each signed step by the pair's error estimate, taken to L by
+    dL = (a*L + b)/a * dy, relative to L (Hairer, Norsett and Wanner, Solving
+    ODEs I, II.4), ends a step exactly on each row's turn, and goes on to
+    theta1's turn, so a law that blows up before theta1 is caught whatever
+    rows are flagged.  ``steps`` is the budget of trial steps beyond one per
+    row.  Raises OdeBlowUp, with the last row theta reached, where the budget
+    runs out, L exceeds 1e12, or a slope overflows as y runs down (a*L + b
+    toward 0) or up.
     """
     u_total = turn_angle(p, p.theta1)
     if not u_total > 0.0:
         raise ValueError("tangent turn must increase from theta0 to theta1")
 
     a, b, theta0, phi0 = p.a, p.b, p.theta0, p.phi0
-    inv_n = 1.0 / p.n
-    # at n = 1 the slope a*L + b = b*exp(a*u) may round to 0 or below where
-    # a < 0, and g ** 1.0 is g itself, so a*L + b is checked only elsewhere
-    checked = p.n != 1.0
+    power, log_b, exp, expm1 = 1.0 / p.n - 1.0, math.log(b), math.exp, math.expm1
 
-    def slope(L: float) -> float:
-        g = a * L + b
-        if g <= 0.0 and checked:
-            raise NonpositiveRho(g)
-        return g ** inv_n
+    def slope(y: float) -> float:  # from ln(a*L + b), which cannot underflow; a itself at n = 1
+        return a * exp(power * (log_b + y))
 
     targets = [(r.theta, (r.theta - theta0) + (r.phi - phi0)) for r in rows if r.valid.in_domain]
     left = steps + len(rows)
     Ls: list[float] = []
-    theta_last, L_last, u, L, lost, du = theta0, 0.0, 0.0, 0.0, 0.0, 0.0
+    theta_last, L_last, u, y, L, lost, du = theta0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
-        k1 = slope(0.0)  # the start slope b^(1/n) can itself overflow
-        # first try 1% of the turn over which a*L + b changes by its own size
-        rate = abs(a * k1) / b
-        h = min(0.01 / rate, u_total) if 0.0 < rate < math.inf else u_total
+        k1 = slope(0.0)
+        # first try 1% of the turn over which y changes by 1
+        h = min(0.01 / abs(k1), u_total) if 0.0 < abs(k1) < math.inf else u_total
         for theta, target in targets + [(None, u_total)]:
             while u != target:
                 if not left:
@@ -178,38 +178,34 @@ def ode_arc_length(p: CurveParams, steps: int, rows: list[CurveSample]) -> list[
                 step = max(h, _ODE_MIN_STEP * abs(u))
                 end = target if step >= abs(target - u) else u + math.copysign(step, target - u)
                 du = end - u
-                k2 = slope(L + du * (k1 / 5))
-                k3 = slope(L + du * (3 / 40 * k1 + 9 / 40 * k2))
-                k4 = slope(L + du * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-                k5 = slope(L + du * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
-                k6 = slope(L + du * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                k2 = slope(y + du * (k1 / 5))
+                k3 = slope(y + du * (3 / 40 * k1 + 9 / 40 * k2))
+                k4 = slope(y + du * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+                k5 = slope(y + du * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
+                k6 = slope(y + du * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
                                      - 5103 / 18656 * k5))
-                # lost, the rounding of the last accepted L + dL, goes into the
-                # next one (compensated summation): L does not drift over many steps
-                dL = du * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6) - lost
-                L_new = L + dL
-                k7 = slope(L_new)
-                # the gap between the fifth- and fourth-order solutions
+                # lost, the rounding of the last accepted y + dy, goes into the
+                # next one (compensated summation): y does not drift over many steps
+                dy = du * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6) - lost
+                y_new = y + dy
+                L_new = b * expm1(y_new) / a
+                k7 = slope(y_new)
+                # the gap between the fifth- and fourth-order solutions, in L
                 err = abs(du * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
-                                + 22 / 525 * k6 - 1 / 40 * k7))
+                                + 22 / 525 * k6 - 1 / 40 * k7) * (L_new + b / a))
                 scale = _ODE_TOL * max(abs(L), abs(L_new))
                 if err <= scale or step > h:
-                    u, L, k1, lost = end, L_new, k7, (L_new - L) - dL
+                    u, y, L, k1, lost = end, y_new, L_new, k7, (y_new - y) - dy
                     if not abs(L) <= _BLOWUP_LIMIT:  # also holds for an L that is inf or NaN
                         raise OverflowError
                 h = abs(du) * min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err else 5.0))
             if theta is not None:
                 theta_last, L_last = theta, L
                 Ls.append(L)
-    except (OverflowError, NonpositiveRho) as exc:
-        # a stage overshoots below 0 also where slopes overflow, so a*L + b
-        # is named only where the step moves it down
-        if isinstance(exc, NonpositiveRho) and a * du < 0.0:
-            cause = str(exc)
-        elif abs(L) <= _BLOWUP_LIMIT:  # L was accepted, so a slope overflowed
-            cause = "(a*L + b)^(1/n) overflowed"
-        else:
-            cause = f"arc length exceeded {_BLOWUP_LIMIT:g}"
+    except OverflowError:
+        if not abs(L) <= _BLOWUP_LIMIT:
+            raise OdeBlowUp(theta_last, L_last) from None
+        cause = "a*L + b fell toward 0" if a * du < 0.0 else "(a*L + b)^(1/n) overflowed"  # y ran down or up
         raise OdeBlowUp(theta_last, L_last, cause) from None
     return Ls
 

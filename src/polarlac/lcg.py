@@ -14,6 +14,7 @@ experiment.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import curve as _curve
@@ -45,8 +46,9 @@ class LcgLine(NamedTuple):
 
 def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
     """Graph points from the model, (ln rho, ln(|n/a| rho^n)), one per sample
-    row of ``p``, skipping every row that raises a row error: past the
-    domain boundary, rho or a logarithm out of range, phi not evaluable.
+    row of ``p``, skipping every row that raises a row error (past the
+    domain boundary, rho out of range, phi not evaluable) and every row where
+    rho or |n/a| rho^n is not a normal float, whose logarithm is not exact.
     Since rho^n = a*L + b, the ordinate is taken from rho, which the closed
     form computes without the cancellation a*L + b suffers.
 
@@ -55,7 +57,7 @@ def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
     where phi has a value but no derivative, as sqrt(theta) at 0, the row
     is flagged and yet L and rho exist.
     """
-    scale, n = abs(p.n / p.a), p.n
+    scale, n, normal = abs(p.n / p.a), p.n, sys.float_info.min
     new, log = tuple.__new__, math.log
     points = []
     for row in rows:
@@ -64,9 +66,9 @@ def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
                 rho = row.rho
             else:  # past the domain end _arc raises ValueError, a row error
                 rho = p._arc(_curve.turn_angle(p, row.theta))[1]
-            if not rho > 0.0:  # 0 or NaN, and math.log(NaN) does not raise
-                continue
-            points.append(new(LcgPoint, (log(rho), log(scale * rho ** n))))
+            q = scale * rho ** n
+            if rho >= normal and q >= normal:  # also not NaN, on which log does not raise
+                points.append(new(LcgPoint, (log(rho), log(q))))
         except ROW_ERRORS:
             continue
     return points

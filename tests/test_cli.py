@@ -426,12 +426,43 @@ class TestVerifyCommand:
         assert run(args, tmp_path, sub="verify", extra=("--samples", "64")) == 0
 
     def test_a_class_one_slope_that_decays_to_zero_is_not_rejected(self, tmp_path):
-        # at n = 1 the re-integrated slope a*L + b = b*exp(a*u) rounds to 0
-        # with a < 0; it is not raised to a power, and no positivity check
-        # may stop the oracle there
+        # at n = 1 with a < 0, a*L + b = b*exp(a*u) underflows to 0; the
+        # pass carries its logarithm y = a*u, whose slope is a itself
         args = ["--n", "1", "--a", "-1000", "--theta1", "10", "--phi", "pi/2"]
         assert run(args, tmp_path, sub="verify", extra=("--samples", "16")) == 0
         assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] == 0.0
+
+    @pytest.mark.parametrize("n", ["1.000001", "1.0000000001", "0.999999", "1"])
+    def test_a_law_that_decays_past_float_range_verifies(self, tmp_path, n):
+        # a*L + b = b*exp(n*w) is about e^-10000 at theta1: formed from L it
+        # once rounded to 0 or below and stopped the oracle (exit 2), and a
+        # graph point whose rho is subnormal once moved the closed-form
+        # intercept 9e-9 (exit 1 at n = 1)
+        args = ["--n", n, "--a", "-1000", "--theta1", "10", "--phi", "pi/2"]
+        assert run(args, tmp_path, sub="verify") == 0
+        assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] <= 1e-13
+
+    @pytest.mark.parametrize("args", [FIG4, ["--n", "2", "--theta1", "5", "--phi", "pi/8"]], ids=["n=1", "n=2"])
+    def test_a_closed_form_off_the_law_fails_the_ode_check(self, tmp_path, monkeypatch, args):
+        # the oracle re-integrates the law from the turn alone and never
+        # calls the compiled closure, so an L off by 1e-7 is caught; at
+        # n = 1 the pass is exact, and it still bites
+        compile_ = curve._compile
+
+        def off_by_1e7(n, a, b):
+            arc = compile_(n, a, b)
+
+            def wrong(u):
+                L, rho = arc(u)
+                return L * (1.0 + 1e-7), rho
+
+            return wrong
+
+        monkeypatch.setattr(curve, "_compile", off_by_1e7)
+        assert run(args, tmp_path, sub="verify", extra=("--samples", "64")) == 1
+        by_name = {c["name"]: c for c in read_json(tmp_path, "verify.json")["checks"]}
+        assert by_name["ode_vs_closed_arc_length"]["passed"] is False
+        assert by_name["ode_vs_closed_arc_length"]["value"] == pytest.approx(1e-7, rel=1e-6)
 
     def test_a_long_sweep_is_re_integrated(self, tmp_path):
         # a 1e6-radian turn in 3 rows: the steps grow with L, so the pass
@@ -443,8 +474,8 @@ class TestVerifyCommand:
         assert ode["max"] <= 1e-12
 
     def test_a_long_exponential_turn_fits_the_step_budget(self, tmp_path):
-        # L = 1e-40 * expm1(u) stays below 1e12 over 100 radians; the pass
-        # takes about 27,000 steps there
+        # L = 1e-40 * expm1(u) stays below 1e12 over 100 radians, where the
+        # pass carries y = u
         args = ["--n", "1", "--b", "1e-40", "--theta1", "100", "--phi", "pi/2"]
         assert run(args, tmp_path, sub="verify") == 0
         assert read_json(tmp_path, "verify.json")["residuals"]["ode_vs_closed"]["max"] <= 1e-12
@@ -578,7 +609,8 @@ ESCAPE_IDS = ["verify-ln", "lcg-sqrt", "lcg-rho-not-positive", "svg-log-0", "svg
 @pytest.mark.parametrize(
     "argv,code",
     [
-        # b^(1/n) = 1e600 overflows at the re-integration's first slope
+        # the re-integration's slope in ln(a*L + b) starts at b^(1/n - 1) =
+        # 1e300, and L = 1e300*expm1(y) passes 1e12 in the first step
         (["verify", "--n", "0.5", "--b", "1e300"], 2),
         (["lcg", "--n", "0.5", "--b", "1e300"], 2),
         # rho = b^(1/n) = 1e-600 underflows to 0, which has no logarithm
@@ -761,15 +793,15 @@ def test_output_files_honour_the_umask(tmp_path, umask, mode):
 
 # sha256 of every file verify and lcg write at 256 samples, recorded with
 # the one expm1/log1p closed form of the curve module, verify.json with the
-# Dormand-Prince re-integration of the diffgeo module, and the numeric
-# graph and verify.json with its Romberg-extrapolated chord arc length
-# (CPython 3.11, glibc, x86-64 Linux).  A refactor must not move a byte; a
+# Dormand-Prince re-integration of ln((a*L + b)/b) in the diffgeo module,
+# and the numeric graph and verify.json with its Romberg-extrapolated chord
+# arc length (CPython 3.11, glibc, x86-64 Linux).  A refactor must not move a byte; a
 # libm whose sin, cos, exp, expm1, log1p, pow or hypot round differently will.
 RECORDED_DIGESTS = [
     (
         ["--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3"],
         {
-            "verify.json": "21790ce2b1d7f7f94ce8570dcf29ccda77c526a935b05f781ace021f4b453e2a",
+            "verify.json": "b2edec678a2bbb2e55f53f751c97396fb80f04653d47cae10bfa785728f8373a",
             "lcg_closed.csv": "ac53be522f420cc6a38adb5308324e8abd6956d914c25d04bebadde150aa1577",
             "lcg_fit.json": "ac6f98e0869a7e46f4e7722938dd1dfdcb451d58b1d0d08af9f9b7e3df751a3f",
             "lcg_numeric.csv": "fc140c0c73023734a7b67be4101625dbef3efc30bce52e4fbccf522d1adeb4dc",
@@ -778,7 +810,7 @@ RECORDED_DIGESTS = [
     (
         ["--n", "2", "--theta1", "5", "--phi", "pi/8"],
         {
-            "verify.json": "abfc1296b703fa885313c12c9da1d1c05ddb13dddb53d9bfa42b56a7766db3ba",
+            "verify.json": "0dc16d5f33178d74273520e376a34abfeee81aacadce67aa5b44ecfec4bbf67c",
             "lcg_closed.csv": "2fec18191a6a245683033f00e458b9ecaba17fe8ee7470a95691a0075f719416",
             "lcg_fit.json": "ab0b9a4cca169af27467191dab0a55a5adeddb7e5e100cc7d209ce775aa7575d",
             "lcg_numeric.csv": "430c370982e3aa57c028d26a145a0ae36bbc910592c496ad22ce4bdb182b5140",
@@ -787,7 +819,7 @@ RECORDED_DIGESTS = [
     (
         ["--n", "-2", "--theta0", "0.1", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"],
         {
-            "verify.json": "3c8f696e0d68af5bf8b6c9a55364d3d82fc46cdac557b57cc65730c9818bb8ac",
+            "verify.json": "f12f6a9b7b6da9e44ca4c902fd93e77f0c0b62b72e4601b9c5f553ff351753b9",
             "lcg_closed.csv": "00264be826516499bad1bd412df175188197c49db4bff0db0bf888d2c8b06b37",
             "lcg_fit.json": "9edab8787852ed7d4abaf5b54b776c78031cb290346f1301d98ffa7cb8960d0c",
             "lcg_numeric.csv": "823afc28d401bcbc7f03c9435c4ed16feec2fb7a4275f46877068fd671acef73",

@@ -111,6 +111,20 @@ class TestNumericArcLength:
         with pytest.raises(ValueError):
             numeric_arc_length(math.exp, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_length_that_is_not_finite_ends_the_segment(self, value):
+        # no refinement makes a NaN or infinite polygon finite: the segment
+        # ends after the 3 R calls of its first two chords, not its budget
+        calls = []
+
+        def R(t):
+            calls.append(t)
+            return value
+
+        with pytest.raises(ToleranceNotMet, match="a polygon length that is not finite"):
+            numeric_arc_length(R, 0.0, 1.0)
+        assert len(calls) == 3
+
 
 class TestOdeArcLength:
     # L comes back at the turn of each in-domain row given, in order
@@ -149,13 +163,15 @@ class TestOdeArcLength:
         assert len(L) == 1
         assert abs(L[0] - closed) / abs(closed) <= 1e-8
 
-    def test_rejects_few_steps(self, fig4):
+    def test_rejects_few_steps(self, fig7):
         # a budget that runs out raises and is named; the first row
-        # interval alone takes more than one step
-        rows = curve.sample(fig4, 16)
+        # interval alone takes more than one step.  At n = 1 the slope in y
+        # is constant, every step passes its error test, and the steps grow
+        # so fast that a budget of 0 runs out only at theta = 13
+        rows = curve.sample(fig7, 16)
         with pytest.raises(OdeBlowUp, match="^the budget of 0 steps beyond one per row ran out; last valid theta 0.0$"):
-            ode_arc_length(fig4, 0, rows)
-        assert len(ode_arc_length(fig4, 10_000, rows)) == 16
+            ode_arc_length(fig7, 0, rows)
+        assert len(ode_arc_length(fig7, 10_000, rows)) == 16
 
     def test_blow_up_reports_last_theta(self):
         p = params(1.0, a=5.0, theta1=10.0)
@@ -171,14 +187,15 @@ class TestOdeArcLength:
     @pytest.mark.parametrize(
         "n,a,b,cause,count",
         [
-            # a*L + b reaches 0 at the domain end, theta = 2, before L is large
-            (2.0, -1.0, 1.0, r"a\*L \+ b = .* is not positive", 64),
+            # a*L + b falls to 0 at the domain end, theta = 2, before L is
+            # large: y runs down until the slope a*(a*L + b)^(-1/2) overflows
+            (2.0, -1.0, 1.0, r"a\*L \+ b fell toward 0", 64),
             # rho = (1 + L)^100 overflows near the domain end, u = 1/99
             (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
-            # the start slope b^(1/n) = 1e600 overflows
-            (0.5, 1.0, 1e300, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
-            # huge slopes send a stage of a rising a*L + b below 0; the cause
-            # is still the overflow, whatever the row count
+            # the slope in y starts at a*b^(1/n - 1) = 1e300, and L passes
+            # 1e12 in the first step
+            (0.5, 1.0, 1e300, r"arc length exceeded 1e\+12", 64),
+            # y rises, so the cause is the overflow, whatever the row count
             (0.01, 1.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 1024),
             (0.3, 2.0, 1.0, r"\(a\*L \+ b\)\^\(1/n\) overflowed", 64),
         ],
@@ -189,14 +206,15 @@ class TestOdeArcLength:
             ode_arc_length(p, 10_000, curve.sample(p, count))
 
     @pytest.mark.parametrize("count", [121, 241])
-    def test_fifth_order_row_halving(self, fig4, count, monkeypatch):
+    def test_fifth_order_row_halving(self, fig7, count, monkeypatch):
         # with every step accepted, each row interval is one step once the
         # first few have grown past the row spacing; halving the spacing
-        # cuts the error about 32-fold, where a fourth-order pair gives 16
+        # cuts the error about 32-fold, where a fourth-order pair gives 16.
+        # At n = 1 the slope in y is constant and no step has an error
         monkeypatch.setattr(diffgeo, "_ODE_TOL", math.inf)
-        closed = arc_length(fig4, fig4.theta1)
-        coarse = ode_arc_length(fig4, 100, curve.sample(fig4, count))[-1]
-        fine = ode_arc_length(fig4, 100, curve.sample(fig4, 2 * count - 1))[-1]
+        closed = arc_length(fig7, fig7.theta1)
+        coarse = ode_arc_length(fig7, 100, curve.sample(fig7, count))[-1]
+        fine = ode_arc_length(fig7, 100, curve.sample(fig7, 2 * count - 1))[-1]
         assert abs(coarse - closed) >= 24.0 * abs(fine - closed) > 0.0
 
 

@@ -59,6 +59,16 @@ class TestLcgClosedForm:
         p = params(1.0000000001, a=1e300, b=1e-300, theta1=1e-300, phi="1/(theta - 1)")
         assert lcg_closed_form(p, 5) == []
 
+    def test_points_come_only_from_normal_floats(self):
+        # rho = e^(-1000*theta) is subnormal at theta = 0.724, where its
+        # logarithm is not exact and the point once left the line by 2e-7
+        p = params(1.0, a=-1000.0, theta1=10.0)
+        points = lcg_closed_form(p, 512)
+        assert len(points) == 36
+        for pt in points:
+            assert abs(pt.y - (pt.x + math.log(1e-3))) <= 1e-12
+        assert abs(linear_fit(points).intercept - math.log(1e-3)) <= 1e-13
+
     def test_skips_rows_where_rho_is_nan(self):
         # a*(n - 1) underflows to 0, so x is carried as ln|x|, and the turn
         # at theta1 overflows to inf: that row is flagged and skipped
