@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from . import curve as _curve
 from .phiexpr import ParseError, depends_on_theta, parse
@@ -213,6 +213,28 @@ def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[st
         raise CliError(EXIT_IO, f"cannot write {name}: {exc}") from exc
 
 
+def _write_part(names: tuple[str, ...], files: list, pipe: int, blocks: Iterable[tuple[str, ...]]) -> NoReturn:
+    """As a forked writer: write ``blocks`` to ``files``, send a failure's message up ``pipe``, exit."""
+    code, message = 1, ""
+    try:
+        for texts in blocks:
+            for name, fh, text in zip(names, files, texts):
+                fh.write(text)
+        for name, fh in zip(names, files):
+            fh.seek(0)  # flushes it, and leaves it at its start for the parent to read
+        code = 0
+    except OSError as exc:
+        code, message = EXIT_IO, f"cannot write {name}: {exc}"
+    except MemoryError:
+        code, message = EXIT_CONFIG, "run too large for available memory"
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # a bug stays loud in a writer too
+    finally:
+        with contextlib.suppress(OSError):
+            os.write(pipe, message.encode())
+        os._exit(code)
+
+
 def _f17(v: float) -> str:
     return f"{v:.17g}"
 
@@ -262,17 +284,21 @@ def _json_number(v: float) -> str:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    params = _build_params(cfg)
-    rows = _curve.sample(params, cfg.samples)
+    params, count, names = _build_params(cfg), cfg.samples, ("samples.csv", "samples.json")
+    # one range of rows per CPU this process may run on (one if it cannot fork), never more than blocks,
+    # each from a block edge; it makes every file, forks a writer for each later range, then samples the first
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blocks = -(-count // _BLOCK_ROWS)
+    ways = min(cpus if hasattr(os, "fork") else 1, blocks)
+    edges = [i * blocks // ways * _BLOCK_ROWS for i in range(ways)] + [count]
+    writers: list[tuple] = []  # (pid, pipe, files, start, stop), not yet waited for
 
-    def blocks():
-        # the params block goes through the encoder; "params" sorts before
-        # "rows", so the rows array goes in place of the closing "\n}\n"
-        head = _dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n'
-        yield "theta,L,R,rho,phi,beta,x,y,in_domain\n", head
-        for start in range(0, len(rows), _BLOCK_ROWS):
+    def row_blocks(start: int, stop: int):
+        # a grid of one range is sampled whole, as every other subcommand does
+        rows = _curve.sample(params, count, start, stop) if ways > 1 else _curve.sample(params, count)
+        for i in range(0, len(rows), _BLOCK_ROWS):
             csv_rows, json_rows = [], []
-            for theta, L, R, rho, phi, _, beta, x, y, valid in rows[start : start + _BLOCK_ROWS]:
+            for theta, L, R, rho, phi, _, beta, x, y, valid in rows[i : i + _BLOCK_ROWS]:
                 flag = "true" if valid.in_domain else "false"
                 csv_rows.append(_CSV_ROW % (theta, L, R, rho, phi, beta, x, y, flag))
                 # a sum of finite values that overflows only sends the row the
@@ -280,10 +306,43 @@ def cmd_sample(cfg: RunConfig) -> int:
                 if not math.isfinite(theta + L + R + rho + phi + beta + x + y):
                     L, R, beta, phi, rho, theta, x, y = map(_json_number, (L, R, beta, phi, rho, theta, x, y))
                 json_rows.append(_JSON_ROW % (L, R, beta, flag, phi, rho, theta, x, y))
-            yield "".join(csv_rows), (",\n" if start else "") + ",\n".join(json_rows)
+            yield "".join(csv_rows), (",\n" if start + i else "") + ",\n".join(json_rows)
+
+    def file_blocks(stack: contextlib.ExitStack):
+        parts = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=cfg.out_dir))
+                  for _ in names] for _ in edges[2:]]
+        for files, start, stop in zip(parts, edges[1:], edges[2:]):
+            read, write = os.pipe()
+            stack.callback(os.close, read)
+            stack.callback(os.close, write)
+            if not (pid := os.fork()):
+                _write_part(names, files, write, row_blocks(start, stop))
+            writers.append((pid, read, files, start, stop))
+        # the params block goes through the encoder; "params" sorts before
+        # "rows", so the rows array goes in place of the closing "\n}\n"
+        head = _dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n'
+        yield "theta,L,R,rho,phi,beta,x,y,in_domain\n", head
+        yield from row_blocks(0, edges[1])
+        while writers:
+            code = os.waitstatus_to_exitcode(os.waitpid(writers[0][0], 0)[1])
+            pid, read, files, start, stop = writers.pop(0)
+            if code in (EXIT_CONFIG, EXIT_IO):  # the writer sent its message before it exited
+                raise CliError(code, os.read(read, 4096).decode())
+            if code:  # killed, or a bug whose traceback the writer printed
+                import signal
+                how = next((f"was killed by {s.name}" for s in signal.Signals if s == -code), f"exited {code}")
+                raise CliError(EXIT_IO, f"rows {start} to {stop - 1} were not written: their process {how}")
+            while any(chunks := tuple(fh.read(1 << 16) for fh in files)):  # a fraction of a block's text
+                yield chunks
         yield "", "\n  ]\n}\n"
 
-    _write_files(cfg.out_dir, ("samples.csv", "samples.json"), blocks())
+    with contextlib.ExitStack() as stack:
+        try:
+            _write_files(cfg.out_dir, names, file_blocks(stack))
+        finally:
+            for pid, *_ in writers:  # kill each writer not yet waited for, and wait for it
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
     return 0
 
 

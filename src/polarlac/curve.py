@@ -271,13 +271,14 @@ def radius_at(p: CurveParams, theta: float) -> float:
     return rho * (1.0 + d) * math.sin(v)
 
 
-def _grid(p: CurveParams, count: int) -> list[float]:
+def _grid(p: CurveParams, count: int, start: int = 0, stop: int | None = None) -> list[float]:
+    # rows start to stop - 1 of the grid, each theta from its own index; the far end is theta1 itself
     if count < 2:
         raise ValueError("count must be at least 2")
-    span = p.theta1 - p.theta0
-    last = count - 1
-    thetas = [p.theta0 + i * span / last for i in range(count)]
-    thetas[-1] = p.theta1  # guard against round-off at the far end
+    stop = count if stop is None else stop
+    span, last = p.theta1 - p.theta0, count - 1
+    thetas = [p.theta0 + i * span / last for i in range(start, min(stop, last))]
+    thetas += [p.theta1] * (start < stop == count)  # guarded against round-off, in place
     return thetas
 
 
@@ -288,8 +289,8 @@ def _invalid_sample(theta: float) -> CurveSample:
     return tuple.__new__(CurveSample, (theta, *_INVALID_TAIL))
 
 
-def sample(p: CurveParams, count: int) -> list[CurveSample]:
-    """Evaluate the curve on a uniform theta grid.
+def sample(p: CurveParams, count: int, start: int = 0, stop: int | None = None) -> list[CurveSample]:
+    """Evaluate the curve on rows ``start`` to ``stop - 1`` (all by default) of a uniform theta grid.
 
     Rows past the domain boundary, or where rho or phi cannot be evaluated
     (including float overflow and a turn that is not finite), come back
@@ -302,7 +303,7 @@ def sample(p: CurveParams, count: int) -> list[CurveSample]:
     out = []
     append, new, evaluate, arc = out.append, tuple.__new__, p.phi.eval_with_derivative, p._arc
     sin, cos, in_domain, theta0, phi0 = math.sin, math.cos, IN_DOMAIN, p.theta0, p.phi0
-    for theta in _grid(p, count):
+    for theta in _grid(p, count, start, stop):
         try:
             v, d = evaluate(theta)
             L, r = arc((theta - theta0) + (v - phi0))

@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -104,6 +105,15 @@ def compatible_spiral():
     # constant phi = pi/4 with a = cot(pi/4): the prescribed angle matches
     # the generated trace exactly, so numeric checks can be tight
     return params(1.0, theta1=6.0, phi="pi/4")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # a test may start processes, but must wait for every one it started:
+    # a child still running, or ended and not waited for, fails the test
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def load_schema(name: str) -> dict:

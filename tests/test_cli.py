@@ -7,10 +7,13 @@ import os
 import random
 import re
 import shutil
+import signal
 import stat
 import struct
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -40,6 +43,28 @@ def run_process(argv, tmp_path):
         capture_output=True,
         text=True,
     )
+
+
+def use_cpus(monkeypatch, cpus):
+    # the CPUs this process may run on, which sample splits its grid over
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def in_a_writer(parent: int) -> bool:
+    # true in a process sample forked to write a range of rows
+    return os.getpid() != parent
 
 
 def read_json(tmp_path, name):
@@ -224,9 +249,13 @@ class TestSampleCommand:
         assert (tmp_path / "samples.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         assert (tmp_path / "samples.json").read_bytes() == cli._dump_json(payload).encode()
 
-    def test_memory_per_row_stays_bounded(self, tmp_path):
+    # with one CPU the whole grid is sampled and formatted in this process;
+    # with two it holds half the rows, and appends the other half's text
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_per_row_stays_bounded(self, tmp_path, monkeypatch, cpus):
         # formatted a block of rows at a time; holding every row's CSV and
         # JSON strings until the end took about 1,550 bytes a row
+        use_cpus(monkeypatch, cpus)
         argv = ["sample", "--n", "1", "--theta1", "15", "--phi", "0.01*theta + 0.3", "--out", str(tmp_path)]
         assert main([*argv, "--samples", "64"]) == 0  # imports what a run loads
         tracemalloc.start()
@@ -238,9 +267,11 @@ class TestSampleCommand:
         assert code == 0
         assert peak / 16384 < 1100
 
-    def test_rows_are_held_once(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_are_held_once(self, tmp_path, monkeypatch, cpus):
         # each block's text is written as it is formatted, so little more
         # than the rows themselves is alive
+        use_cpus(monkeypatch, cpus)
         argv = ["sample", *FIG5, "--out", str(tmp_path)]
         assert peak_bytes_per_row(argv, 16384) < 500
 
@@ -887,6 +918,137 @@ def test_outputs_across_blocks_match_recorded_digests(tmp_path, sub, index):
     assert run(DENSE_CONFIGS[index], tmp_path, sub=sub, extra=("--samples", "2500")) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert written == BLOCK_DIGESTS[sub][index]
+
+
+# one block, one block and a row, two blocks, two blocks and a row, four
+# blocks and a row
+@pytest.mark.parametrize("samples", [1024, 1025, 2048, 2049, 4097])
+@pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
+def test_a_grid_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypatch, index, samples):
+    # one range of rows per CPU and never more ranges than blocks: each range
+    # past the first is sampled and formatted by a forked writer, and its
+    # text appended in row order
+    forks = count_forks(monkeypatch)
+    written = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        out = tmp_path / str(cpus)
+        assert run(DENSE_CONFIGS[index], out, extra=("--samples", str(samples))) == 0
+        assert len(forks) == min(cpus, -(-samples // cli._BLOCK_ROWS)) - 1
+        assert sorted(os.listdir(out)) == ["samples.csv", "samples.json"]
+        written[cpus] = [(out / name).read_bytes() for name in ("samples.csv", "samples.json")]
+    assert written[2] == written[1]
+    assert written[3] == written[1]
+
+
+def _keep_old_files(tmp_path):
+    for name in ("samples.csv", "samples.json"):
+        (tmp_path / name).write_text("before")
+
+
+def _kept_old_files(tmp_path) -> bool:
+    # neither named file replaced, and no temp file left
+    return sorted(os.listdir(tmp_path)) == ["samples.csv", "samples.json"] and all(
+        (tmp_path / name).read_text() == "before" for name in ("samples.csv", "samples.json")
+    )
+
+
+def test_a_writer_out_of_space_exits_4_and_replaces_neither_file(tmp_path, monkeypatch, capsys):
+    # the writer of rows 2048 to 4096 fails at its first write to its part
+    # of samples.json; the parent reports the writer's message
+    _keep_old_files(tmp_path)
+    use_cpus(monkeypatch, 2)
+    parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
+
+    def full_in_a_writer(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        fh, write = made[-1], made[-1].write
+
+        def full(text):
+            if in_a_writer(parent):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        if len(made) == 2:
+            fh.write = full
+        return fh
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_in_a_writer)
+    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
+    assert len(made) == 2  # one part of each file, for the one writer
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: cannot write samples.json: {reason}\n"
+    assert _kept_old_files(tmp_path)
+
+
+def _sample_in_a_writer(monkeypatch, action):
+    # curve.sample, but a writer first runs action()
+    parent, sample = os.getpid(), curve.sample
+
+    def wrapped(p, count, *rows):
+        if in_a_writer(parent):
+            action()
+        return sample(p, count, *rows)
+
+    monkeypatch.setattr(curve, "sample", wrapped)
+
+
+def test_a_writer_killed_by_a_signal_exits_4(tmp_path, monkeypatch, capsys):
+    _keep_old_files(tmp_path)
+    use_cpus(monkeypatch, 2)
+    _sample_in_a_writer(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
+    message = "rows 2048 to 4096 were not written: their process was killed by SIGKILL"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _kept_old_files(tmp_path)
+
+
+def test_a_bug_in_a_writer_exits_4(tmp_path, monkeypatch, capsys):
+    # the writer prints its traceback, to its own stderr, and exits 1
+    _keep_old_files(tmp_path)
+    use_cpus(monkeypatch, 2)
+
+    def bug():
+        raise TypeError("x")
+
+    _sample_in_a_writer(monkeypatch, bug)
+    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
+    assert capsys.readouterr().err.endswith("error: rows 2048 to 4096 were not written: their process exited 1\n")
+    assert _kept_old_files(tmp_path)
+
+
+def test_a_writer_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    _keep_old_files(tmp_path)
+    use_cpus(monkeypatch, 2)
+
+    def no_memory():
+        raise MemoryError
+
+    _sample_in_a_writer(monkeypatch, no_memory)
+    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 2
+    assert capsys.readouterr().err == "error: run too large for available memory\n"
+    assert _kept_old_files(tmp_path)
+
+
+def test_a_failure_in_the_first_range_ends_every_writer(tmp_path, monkeypatch, capsys):
+    # the parent fails once it has forked, while its writer sleeps far
+    # longer than the run may take: it kills the writer and waits for it
+    _keep_old_files(tmp_path)
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    _sample_in_a_writer(monkeypatch, lambda: time.sleep(600))
+
+    def no_memory(obj):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_dump_json", no_memory)
+    start = time.monotonic()
+    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 2
+    assert time.monotonic() - start < 60
+    assert len(forks) == 2
+    assert capsys.readouterr().err == "error: run too large for available memory\n"
+    assert _kept_old_files(tmp_path)
 
 
 # runs each (subcommand, argv, out) job of argv[1] through the CLI, all in
