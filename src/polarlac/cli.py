@@ -21,7 +21,8 @@ its own code, for what this module detects itself, and a ``MemoryError``
 ends the run with exit 2.
 
 Each subcommand imports the layers it uses when it runs, and ``json`` loads
-only where a run reads a config file or writes JSON.
+only where a run reads a config file or writes JSON.  ``sample`` and ``svg``,
+which split their grid over processes, run from ``grid``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 from . import curve as _curve
 from .phiexpr import ParseError, depends_on_theta, parse
@@ -75,17 +76,24 @@ def _diagnose(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
+# the options every subcommand takes, each with one value: (flag, type, help)
+_OPTIONS = (
+    ("--n", float, "curvature-law exponent (nonzero)"),
+    ("--a", float, "curvature-law rate (nonzero, default 1)"),
+    ("--b", float, "curvature-law intercept (positive, default 1)"),
+    ("--theta0", float, "start angle in radians (default 0)"),
+    ("--theta1", float, "end angle in radians"),
+    ("--phi", str, "tangential-angle expression in theta"),
+    ("--samples", int, "grid size (default 512)"),
+    ("--config", str, "JSON file with the same keys"),
+    ("--out", str, "output directory (default .)"),
+)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=float, default=None, help="curvature-law exponent (nonzero)")
-    common.add_argument("--a", type=float, default=None, help="curvature-law rate (nonzero, default 1)")
-    common.add_argument("--b", type=float, default=None, help="curvature-law intercept (positive, default 1)")
-    common.add_argument("--theta0", type=float, default=None, help="start angle in radians (default 0)")
-    common.add_argument("--theta1", type=float, default=None, help="end angle in radians")
-    common.add_argument("--phi", type=str, default=None, help="tangential-angle expression in theta")
-    common.add_argument("--samples", type=int, default=None, help="grid size (default 512)")
-    common.add_argument("--config", type=str, default=None, help="JSON file with the same keys")
-    common.add_argument("--out", type=str, default=None, help="output directory (default .)")
+    for flag, kind, text in _OPTIONS:
+        common.add_argument(flag, type=kind, default=None, help=text)
 
     parser = argparse.ArgumentParser(
         prog="polar-lac",
@@ -213,28 +221,6 @@ def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[st
         raise CliError(EXIT_IO, f"cannot write {name}: {exc}") from exc
 
 
-def _write_part(names: tuple[str, ...], files: list, pipe: int, blocks: Iterable[tuple[str, ...]]) -> NoReturn:
-    """As a forked writer: write ``blocks`` to ``files``, send a failure's message up ``pipe``, exit."""
-    code, message = 1, ""
-    try:
-        for texts in blocks:
-            for name, fh, text in zip(names, files, texts):
-                fh.write(text)
-        for name, fh in zip(names, files):
-            fh.seek(0)  # flushes it, and leaves it at its start for the parent to read
-        code = 0
-    except OSError as exc:
-        code, message = EXIT_IO, f"cannot write {name}: {exc}"
-    except MemoryError:
-        code, message = EXIT_CONFIG, "run too large for available memory"
-    except Exception:
-        sys.excepthook(*sys.exc_info())  # a bug stays loud in a writer too
-    finally:
-        with contextlib.suppress(OSError):
-            os.write(pipe, message.encode())
-        os._exit(code)
-
-
 def _f17(v: float) -> str:
     return f"{v:.17g}"
 
@@ -258,92 +244,10 @@ def _params_echo(cfg: RunConfig) -> dict:
     return {key: getattr(cfg, key) for key in _PARAM_KEYS}
 
 
-# One row of samples.csv / samples.json per format operation.  The JSON
-# template is what json.dumps(indent=2, sort_keys=True) writes for a row dict
-# after _json_safe: %s writes a finite float as its repr, and _json_number is
-# the encoding of any float, finite or not.
-_CSV_ROW = ",".join(["%.17g"] * 8) + ",%s\n"
-_JSON_ROW = """    {
-      "L": %s,
-      "R": %s,
-      "beta": %s,
-      "in_domain": %s,
-      "phi": %s,
-      "rho": %s,
-      "theta": %s,
-      "x": %s,
-      "y": %s
-    }"""
-# rows formatted, joined and written at a time, so that only one block's
-# text is alive at once
-_BLOCK_ROWS = 1024
-
-
-def _json_number(v: float) -> str:
-    return repr(v) if math.isfinite(v) else "null"
-
-
 def cmd_sample(cfg: RunConfig) -> int:
-    params, count, names = _build_params(cfg), cfg.samples, ("samples.csv", "samples.json")
-    # one range of rows per CPU this process may run on (one if it cannot fork), never more than blocks,
-    # each from a block edge; it makes every file, forks a writer for each later range, then samples the first
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blocks = -(-count // _BLOCK_ROWS)
-    ways = min(cpus if hasattr(os, "fork") else 1, blocks)
-    edges = [i * blocks // ways * _BLOCK_ROWS for i in range(ways)] + [count]
-    writers: list[tuple] = []  # (pid, pipe, files, start, stop), not yet waited for
-
-    def row_blocks(start: int, stop: int):
-        # a grid of one range is sampled whole, as every other subcommand does
-        rows = _curve.sample(params, count, start, stop) if ways > 1 else _curve.sample(params, count)
-        for i in range(0, len(rows), _BLOCK_ROWS):
-            csv_rows, json_rows = [], []
-            for theta, L, R, rho, phi, _, beta, x, y, valid in rows[i : i + _BLOCK_ROWS]:
-                flag = "true" if valid.in_domain else "false"
-                csv_rows.append(_CSV_ROW % (theta, L, R, rho, phi, beta, x, y, flag))
-                # a sum of finite values that overflows only sends the row the
-                # slow way, which writes it the same
-                if not math.isfinite(theta + L + R + rho + phi + beta + x + y):
-                    L, R, beta, phi, rho, theta, x, y = map(_json_number, (L, R, beta, phi, rho, theta, x, y))
-                json_rows.append(_JSON_ROW % (L, R, beta, flag, phi, rho, theta, x, y))
-            yield "".join(csv_rows), (",\n" if start + i else "") + ",\n".join(json_rows)
-
-    def file_blocks(stack: contextlib.ExitStack):
-        parts = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=cfg.out_dir))
-                  for _ in names] for _ in edges[2:]]
-        for files, start, stop in zip(parts, edges[1:], edges[2:]):
-            read, write = os.pipe()
-            stack.callback(os.close, read)
-            stack.callback(os.close, write)
-            if not (pid := os.fork()):
-                _write_part(names, files, write, row_blocks(start, stop))
-            writers.append((pid, read, files, start, stop))
-        # the params block goes through the encoder; "params" sorts before
-        # "rows", so the rows array goes in place of the closing "\n}\n"
-        head = _dump_json({"params": _params_echo(cfg)})[:-3] + ',\n  "rows": [\n'
-        yield "theta,L,R,rho,phi,beta,x,y,in_domain\n", head
-        yield from row_blocks(0, edges[1])
-        while writers:
-            code = os.waitstatus_to_exitcode(os.waitpid(writers[0][0], 0)[1])
-            pid, read, files, start, stop = writers.pop(0)
-            if code in (EXIT_CONFIG, EXIT_IO):  # the writer sent its message before it exited
-                raise CliError(code, os.read(read, 4096).decode())
-            if code:  # killed, or a bug whose traceback the writer printed
-                import signal
-                how = next((f"was killed by {s.name}" for s in signal.Signals if s == -code), f"exited {code}")
-                raise CliError(EXIT_IO, f"rows {start} to {stop - 1} were not written: their process {how}")
-            while any(chunks := tuple(fh.read(1 << 16) for fh in files)):  # a fraction of a block's text
-                yield chunks
-        yield "", "\n  ]\n}\n"
-
-    with contextlib.ExitStack() as stack:
-        try:
-            _write_files(cfg.out_dir, names, file_blocks(stack))
-        finally:
-            for pid, *_ in writers:  # kill each writer not yet waited for, and wait for it
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
-    return 0
+    params = _build_params(cfg)  # a bad parameter or phi ends the run before grid loads
+    from . import grid
+    return grid.sample(cfg, params)
 
 
 def _points_csv(points: list) -> str:
@@ -442,24 +346,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_svg(cfg: RunConfig) -> int:
-    from . import lcg, svgplot
     params = _build_params(cfg)
-    rows = _curve.sample(params, cfg.samples)
-    good = [r for r in rows if r.valid.in_domain]
-    if not good:
-        raise CliError(EXIT_CONFIG, "all samples are outside the curve domain; nothing to plot")
-
-    def plot(name: str, points: list, subject: str) -> None:
-        # the points and the text live only for this call, not the next plot's
-        _write_atomic(cfg.out_dir, name, svgplot.render_polyline(points, subject))
-
-    if "svg-curve" in cfg.outputs:
-        plot("curve.svg", [(r.x, r.y) for r in good], "curve")
-    if "svg-rho" in cfg.outputs:
-        plot("rho.svg", [(r.theta, r.rho) for r in good], "radius of curvature")
-    if "svg-lcg" in cfg.outputs:
-        plot("lcg.svg", lcg.lcg_points(params, rows), "logarithmic curvature graph")
-    return 0
+    from . import grid
+    return grid.svg(cfg, params)
 
 
 _COMMANDS = {"sample": cmd_sample, "lcg": cmd_lcg, "verify": cmd_verify, "svg": cmd_svg}
@@ -484,10 +373,28 @@ def _is_instance(exc: Exception, module: str, names: tuple[str, ...]) -> bool:
     return loaded is not None and isinstance(exc, tuple(getattr(loaded, name) for name in names))
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Spell ``--a -1e-3`` as ``--a=-1e-3``.  argparse reads an argument that
+    begins with "-" as an option unless it looks like a negative integer or
+    decimal, so -1e-3 or -theta could not follow its flag apart.  An argument
+    that names an option as argparse reads one stays apart: a long flag,
+    perhaps abbreviated or with "=value", or -h with anything after it."""
+    flags = [flag for flag, *_ in _OPTIONS]
+    out: list[str] = []
+    for arg in argv:
+        name = arg.partition("=")[0]
+        option = arg.startswith("-h") or arg.startswith("--") and any(f.startswith(name) for f in [*flags, "--help"])
+        if out and out[-1] in flags and arg.startswith("-") and not option:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

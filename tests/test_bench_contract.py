@@ -4,11 +4,13 @@
 fields of what they return.  Two traced passes over one run of each
 subcommand must count the same, the Simpson and stencil shares of the R
 calls must add up to the total, and each run must make one closed-form
-pass.  ``bench/smoke.py`` checks the same on every workload, in about 30 s;
-this test takes about 0.1 s.
+pass, also where ``sample`` and ``svg`` split their grid over processes.
+``bench/smoke.py`` checks the same on every workload, in about 30 s; these
+tests take well under a second.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 from polarlac import cli, diffgeo, lcg, svgplot  # noqa: F401
@@ -25,12 +27,12 @@ FIG = ["--n", "2", "--theta1", "5", "--phi", "pi/8", "--samples", "16"]
 SUBCOMMANDS = ("lcg", "verify", "sample", "svg")
 
 
-def _traced_pass(out):
+def _traced_pass(out, subcommands=SUBCOMMANDS, argv=FIG):
     t = tracer.Tracer()
     t.install()
     try:
-        for sub in SUBCOMMANDS:
-            assert cli.main([sub, *FIG, "--out", str(out)]) == 0
+        for sub in subcommands:
+            assert cli.main([sub, *argv, "--out", str(out)]) == 0
     finally:
         t.uninstall()
     return t
@@ -49,3 +51,16 @@ def test_traced_counts_repeat_and_add_up(tmp_path):
     assert m["diffgeo.stencil_r_calls_per_row"] == 2.0
     assert m["curve.closed_passes_per_run"] == 1.0
     assert cli.main.__module__ == "polarlac.cli"  # the wrappers were taken out again
+
+
+def test_traced_counts_repeat_over_a_split_grid(tmp_path, monkeypatch):
+    # with two usable CPUs, 2,049 rows make two ranges, and a forked writer
+    # samples the second: the tracer counts the parent's call alone, one
+    # closed-form pass and 1,024 rows per run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = [*FIG[:-1], "2049"]
+    first = _traced_pass(tmp_path, ("sample", "svg"), argv)
+    second = _traced_pass(tmp_path, ("sample", "svg"), argv)
+    assert first.counts() == second.counts()
+    assert first.metrics(runs=2, rows=2 * 2049)["curve.closed_passes_per_run"] == 1.0
+    assert first.values["sampled_rows"] == 2 * 1024

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarlac import CurveParams, arc_length, cli, curve, diffgeo, lcg, parse, radius_at, svgplot
+from polarlac import CurveParams, arc_length, cli, curve, diffgeo, grid, lcg, parse, radius_at, svgplot
 from polarlac.cli import main
 from polarlac.svgplot import NothingToPlot, render_polyline
 from conftest import load_schema, point
@@ -220,7 +220,7 @@ class TestSampleCommand:
         pool += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(64)]
         rows = []
         # past two blocks, so that blocks join as rows do
-        for i in range(2 * cli._BLOCK_ROWS + 3 * len(pool)):
+        for i in range(2 * grid._BLOCK + 3 * len(pool)):
             if i % 5 == 4:
                 rows.append(curve._invalid_sample(pool[i % len(pool)]))
                 continue
@@ -584,6 +584,34 @@ def test_an_infinite_span_is_an_invalid_parameter(tmp_path):
     assert proc.stderr == "error: invalid parameters: theta1 - theta0 must be a finite number\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,rest",
+    [
+        ("--a", "-1e-3", ["--n", "2", "--theta1", "5", "--phi", "pi/8"]),
+        ("--theta0", "-1e308", ["--n", "1", "--theta1", "1", "--phi", "pi/2"]),
+        ("--phi", "-theta", ["--n", "1", "--theta1", "5"]),
+    ],
+    ids=["a", "theta0", "phi"],
+)
+def test_a_value_that_begins_with_a_dash_may_follow_its_flag(tmp_path, capsys, flag, value, rest):
+    # argparse reads -1e-3 and -theta as options unless they are attached
+    # with "="; both spellings run the same
+    runs = {}
+    for spelling, given in (("apart", [flag, value]), ("attached", [f"{flag}={value}"])):
+        out = tmp_path / spelling
+        code = main(["sample", *rest, *given, "--samples", "16", "--out", str(out)])
+        runs[spelling] = code, capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()}
+    assert runs["apart"][0] == 0
+    assert runs["apart"] == runs["attached"]
+
+
+@pytest.mark.parametrize("given", [["--a", "--b", "1"], ["--phi", "--sam", "16"], ["--a", "-h"]])
+def test_a_flag_followed_by_another_option_still_lacks_its_value(tmp_path, capsys, given):
+    assert main(["sample", *FIG4, *given, "--out", str(tmp_path)]) == 2
+    assert f"error: argument {given[0]}: expected one argument" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def _limit_address_space():
     import resource
 
@@ -935,22 +963,26 @@ def test_a_grid_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypat
         forks.clear()
         out = tmp_path / str(cpus)
         assert run(DENSE_CONFIGS[index], out, extra=("--samples", str(samples))) == 0
-        assert len(forks) == min(cpus, -(-samples // cli._BLOCK_ROWS)) - 1
+        assert len(forks) == min(cpus, -(-samples // grid._BLOCK)) - 1
         assert sorted(os.listdir(out)) == ["samples.csv", "samples.json"]
         written[cpus] = [(out / name).read_bytes() for name in ("samples.csv", "samples.json")]
     assert written[2] == written[1]
     assert written[3] == written[1]
 
 
-def _keep_old_files(tmp_path):
-    for name in ("samples.csv", "samples.json"):
+SAMPLE_FILES = ("samples.csv", "samples.json")
+SVG_FILES = ("curve.svg", "lcg.svg", "rho.svg")
+
+
+def _keep_old_files(tmp_path, names=SAMPLE_FILES):
+    for name in names:
         (tmp_path / name).write_text("before")
 
 
-def _kept_old_files(tmp_path) -> bool:
-    # neither named file replaced, and no temp file left
-    return sorted(os.listdir(tmp_path)) == ["samples.csv", "samples.json"] and all(
-        (tmp_path / name).read_text() == "before" for name in ("samples.csv", "samples.json")
+def _kept_old_files(tmp_path, names=SAMPLE_FILES) -> bool:
+    # no named file replaced, and no temp file left
+    return sorted(os.listdir(tmp_path)) == sorted(names) and all(
+        (tmp_path / name).read_text() == "before" for name in names
     )
 
 
@@ -1049,6 +1081,169 @@ def test_a_failure_in_the_first_range_ends_every_writer(tmp_path, monkeypatch, c
     assert len(forks) == 2
     assert capsys.readouterr().err == "error: run too large for available memory\n"
     assert _kept_old_files(tmp_path)
+
+
+def _svg_forks(out, samples, cpus) -> int:
+    # a writer per range of rows past the first, then a renderer per range of
+    # each plot's points past the first
+    def ways(count):
+        return min(cpus, -(-count // grid._BLOCK))
+
+    return ways(samples) - 1 + sum(ways(len(polyline_points((out / name).read_text()))) - 1 for name in SVG_FILES)
+
+
+@pytest.mark.parametrize("samples", [1024, 1025, 2048, 2049, 4097])
+@pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
+def test_svg_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypatch, index, samples):
+    # the rows are sampled into float columns one range per CPU, and each
+    # plot's points formatted one range per CPU, in the view of all of them
+    forks = count_forks(monkeypatch)
+    written = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        out = tmp_path / str(cpus)
+        assert run(DENSE_CONFIGS[index], out, sub="svg", extra=("--samples", str(samples))) == 0
+        assert sorted(os.listdir(out)) == list(SVG_FILES)
+        assert len(forks) == _svg_forks(out, samples, cpus)
+        written[cpus] = [(out / name).read_bytes() for name in SVG_FILES]
+    assert written[2] == written[1]
+    assert written[3] == written[1]
+
+
+@pytest.fixture
+def split_svg_out(tmp_path, monkeypatch):
+    """An out directory holding old plots, for an svg run split in two; after
+    the test no plot is replaced, and nothing is left where the writers spill
+    their columns."""
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    out = tmp_path / "out"
+    out.mkdir()
+    _keep_old_files(out, SVG_FILES)
+    use_cpus(monkeypatch, 2)
+    yield out
+    assert _kept_old_files(out, SVG_FILES)
+    assert os.listdir(spill) == []
+
+
+def test_an_svg_writer_out_of_space_exits_4(split_svg_out, monkeypatch, capsys):
+    # the writer of rows 2048 to 4096 fails at its first write of a column
+    parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
+
+    def full_in_a_writer(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+
+        def full(data):
+            assert in_a_writer(parent)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        made[-1].write = full
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_in_a_writer)
+    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
+    assert len(made) == 6  # one part of each column, for the one writer
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: cannot write curve.svg: {reason}\n"
+
+
+def test_an_svg_writer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsys):
+    _sample_in_a_writer(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
+    message = "rows 2048 to 4096 were not written: their process was killed by SIGKILL"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_bug_in_an_svg_writer_exits_4(split_svg_out, monkeypatch, capsys):
+    def bug():
+        raise TypeError("x")
+
+    _sample_in_a_writer(monkeypatch, bug)
+    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
+    assert capsys.readouterr().err.endswith("error: rows 2048 to 4096 were not written: their process exited 1\n")
+
+
+def test_an_svg_writer_out_of_memory_exits_2(split_svg_out, monkeypatch, capsys):
+    def no_memory():
+        raise MemoryError
+
+    _sample_in_a_writer(monkeypatch, no_memory)
+    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 2
+    assert capsys.readouterr().err == "error: run too large for available memory\n"
+
+
+def test_a_renderer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsys):
+    # the process that formats the second half of curve.svg's points dies
+    parent, text = os.getpid(), svgplot.Polyline.text
+
+    def killed_in_a_writer(self, start, stop):
+        if in_a_writer(parent):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return text(self, start, stop)
+
+    monkeypatch.setattr(svgplot.Polyline, "text", killed_in_a_writer)
+    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
+    message = "points 2048 to 4096 of curve.svg were not written: their process was killed by SIGKILL"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_failure_in_the_svg_parent_ends_every_writer(tmp_path, monkeypatch, capsys):
+    # the parent fails once it has forked, while its writers sleep far longer
+    # than the run may take: it kills them and waits for them
+    _keep_old_files(tmp_path, SVG_FILES)
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    _sample_in_a_writer(monkeypatch, lambda: time.sleep(600))
+
+    def no_memory(p, rows):
+        raise MemoryError
+
+    monkeypatch.setattr(lcg, "lcg_points", no_memory)
+    start = time.monotonic()
+    assert run(FIG4, tmp_path, sub="svg", extra=("--samples", "4097")) == 2
+    assert time.monotonic() - start < 60
+    assert len(forks) == 2
+    assert capsys.readouterr().err == "error: run too large for available memory\n"
+    assert _kept_old_files(tmp_path, SVG_FILES)
+
+
+@pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
+def test_each_svg_output_alone_writes_the_full_runs_bytes(tmp_path, monkeypatch, index):
+    use_cpus(monkeypatch, 2)
+    argv = ["svg", *DENSE_CONFIGS[index], "--samples", "4097"]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+    for output, name in zip(cli._SVG_OUTPUTS, ("curve.svg", "rho.svg", "lcg.svg")):
+        config = tmp_path / f"{output}.json"
+        config.write_text(json.dumps({"outputs": [output]}))
+        out = tmp_path / output
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        assert os.listdir(out) == [name]
+        assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_a_view_that_fails_on_the_second_plot_leaves_the_first_written(tmp_path, monkeypatch, capsys):
+    # the grid spans 1.7e308 radians, so the radius plot's theta axis overflows
+    # once padded; phi' = -1 puts every row in domain at the origin, where the
+    # curve's flat view is fine
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    argv = ["--n", "1", "--theta0", "-8.5e307", "--theta1", "8.5e307", "--phi", "0 - theta"]
+    assert run(argv, tmp_path, sub="svg", extra=("--samples", "4097")) == 5
+    assert capsys.readouterr().err == "error: radius of curvature degenerated: its range overflows a float\n"
+    assert forks
+    assert os.listdir(tmp_path) == ["curve.svg"]
+    assert polyline_points((tmp_path / "curve.svg").read_text())
+
+
+def test_a_blocked_out_dir_still_fails_a_split_svg_with_exit_4(tmp_path, monkeypatch, capsys):
+    use_cpus(monkeypatch, 2)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    assert main(["svg", *FIG4, "--samples", "4097", "--out", str(blocker / "sub")]) == 4
+    reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{blocker / 'sub'}'"
+    assert capsys.readouterr().err == f"error: cannot write curve.svg: {reason}\n"
 
 
 # runs each (subcommand, argv, out) job of argv[1] through the CLI, all in
@@ -1256,7 +1451,7 @@ class TestEntryPoints:
         assert (tmp_path / "verify.json").exists()
 
 
-LAYERS = {"polarlac.diffgeo", "polarlac.lcg", "polarlac.svgplot"}
+LAYERS = {"polarlac.diffgeo", "polarlac.grid", "polarlac.lcg", "polarlac.svgplot"}
 
 
 def modules_loaded_by(source):
@@ -1278,8 +1473,8 @@ class TestStartUp:
     @pytest.mark.parametrize(
         "sub,layers",
         [
-            ("sample", set()),
-            ("svg", {"polarlac.lcg", "polarlac.svgplot"}),
+            ("sample", {"polarlac.grid"}),
+            ("svg", {"polarlac.grid", "polarlac.lcg", "polarlac.svgplot"}),
             ("lcg", {"polarlac.diffgeo", "polarlac.lcg"}),
             ("verify", {"polarlac.diffgeo", "polarlac.lcg"}),
         ],
@@ -1303,7 +1498,8 @@ class TestStartUp:
 
     def test_mapping_an_escaped_error_to_its_exit_code_imports_nothing(self, tmp_path):
         # the error passes the rows of lcg and svgplot on its way to the last
-        # row; neither module is loaded, so neither can have raised it
+        # row; neither module is loaded, so neither can have raised it, and
+        # the replaced subcommand loads no grid
         argv = ["sample", *FIG4, "--out", str(tmp_path)]
         added = modules_loaded_by(
             "from polarlac import cli\n"
