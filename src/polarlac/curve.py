@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
 from .phiexpr import EvalDomainError, PhiFunction
@@ -256,7 +256,7 @@ def radius_of_curvature(p: CurveParams, L: float) -> float:
 
 
 def radius_at(p: CurveParams, theta: float) -> float:
-    """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative."""
+    """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative; raises OverflowError where R overflows."""
     # one evaluation of phi gives both the turn and f'; where phi has a
     # value but no derivative, a domain exit is reported first
     try:
@@ -268,17 +268,25 @@ def radius_at(p: CurveParams, theta: float) -> float:
         rho = p._arc((theta - p.theta0) + (v - p.phi0))[1]
     except ValueError:
         raise DomainExceeded(p, theta) from None
-    return rho * (1.0 + d) * math.sin(v)
+    R = rho * (1.0 + d) * math.sin(v)
+    if R - R and not rho - rho:  # R overflows where rho does not
+        raise OverflowError("R is not finite")
+    return R
 
 
-def _grid(p: CurveParams, count: int, start: int = 0, stop: int | None = None) -> list[float]:
-    # rows start to stop - 1 of the grid, each theta from its own index; the far end is theta1 itself
+def _grid(p: CurveParams, count: int, rows: Sequence[range] | None = None) -> list[float]:
+    # the rows in ``rows``, nonempty ranges of indices in order (all by
+    # default), each theta from its own index; the far end is theta1 itself
     if count < 2:
         raise ValueError("count must be at least 2")
-    stop = count if stop is None else stop
-    span, last = p.theta1 - p.theta0, count - 1
-    thetas = [p.theta0 + i * span / last for i in range(start, min(stop, last))]
-    thetas += [p.theta1] * (start < stop == count)  # guarded against round-off, in place
+    rows = (range(count),) if rows is None else rows
+    theta0, span, last = p.theta0, p.theta1 - p.theta0, count - 1
+    thetas = [theta0 + i * span / last for r in rows for i in r]
+    if not math.isfinite(sum(thetas)):  # a row whose i*span overflows takes i*(span/last), which cannot
+        step = span / last
+        thetas = [t if t < math.inf else theta0 + i * step for t, i in zip(thetas, (i for r in rows for i in r))]
+    if rows and rows[-1].stop == count:
+        thetas[-1] = p.theta1  # guarded against round-off, in place
     return thetas
 
 
@@ -289,10 +297,11 @@ def _invalid_sample(theta: float) -> CurveSample:
     return tuple.__new__(CurveSample, (theta, *_INVALID_TAIL))
 
 
-def sample(p: CurveParams, count: int, start: int = 0, stop: int | None = None) -> list[CurveSample]:
-    """Evaluate the curve on rows ``start`` to ``stop - 1`` (all by default) of a uniform theta grid.
+def sample(p: CurveParams, count: int, rows: Sequence[range] | None = None) -> list[CurveSample]:
+    """Evaluate the curve on the rows of a uniform theta grid in ``rows``,
+    nonempty ranges of its indices in increasing order (all by default).
 
-    Rows past the domain boundary, or where rho or phi cannot be evaluated
+    Rows past the domain boundary, or where rho, R or phi cannot be evaluated
     (including float overflow and a turn that is not finite), come back
     flagged instead of aborting the batch: each row's ``valid`` is the
     shared IN_DOMAIN or FLAGGED.
@@ -303,11 +312,13 @@ def sample(p: CurveParams, count: int, start: int = 0, stop: int | None = None) 
     out = []
     append, new, evaluate, arc = out.append, tuple.__new__, p.phi.eval_with_derivative, p._arc
     sin, cos, in_domain, theta0, phi0 = math.sin, math.cos, IN_DOMAIN, p.theta0, p.phi0
-    for theta in _grid(p, count, start, stop):
+    for theta in _grid(p, count, rows):
         try:
             v, d = evaluate(theta)
             L, r = arc((theta - theta0) + (v - phi0))
             R = r * (1.0 + d) * sin(v)
+            if R - R and not r - r:  # as radius_at raises
+                raise OverflowError("R is not finite")
             append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
         except ROW_ERRORS:
             append(_invalid_sample(theta))

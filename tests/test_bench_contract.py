@@ -54,13 +54,13 @@ def test_traced_counts_repeat_and_add_up(tmp_path):
 
 
 def test_traced_counts_repeat_over_a_split_grid(tmp_path, monkeypatch):
-    # with two usable CPUs, 2,049 rows make two ranges, and a forked writer
-    # samples the second: the tracer counts the parent's call alone, one
-    # closed-form pass and 1,024 rows per run
+    # with two usable CPUs, 2,049 rows make three blocks, and a forked writer
+    # samples block 1: the tracer counts the parent's call alone, for blocks
+    # 0 and 2, one closed-form pass and 1,025 rows per run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     argv = [*FIG[:-1], "2049"]
     first = _traced_pass(tmp_path, ("sample", "svg"), argv)
     second = _traced_pass(tmp_path, ("sample", "svg"), argv)
     assert first.counts() == second.counts()
     assert first.metrics(runs=2, rows=2 * 2049)["curve.closed_passes_per_run"] == 1.0
-    assert first.values["sampled_rows"] == 2 * 1024
+    assert first.values["sampled_rows"] == 2 * 1025

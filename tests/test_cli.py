@@ -63,7 +63,7 @@ def count_forks(monkeypatch) -> list:
 
 
 def in_a_writer(parent: int) -> bool:
-    # true in a process sample forked to write a range of rows
+    # true in a process sample or svg forked to write its blocks of rows
     return os.getpid() != parent
 
 
@@ -953,9 +953,9 @@ def test_outputs_across_blocks_match_recorded_digests(tmp_path, sub, index):
 @pytest.mark.parametrize("samples", [1024, 1025, 2048, 2049, 4097])
 @pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
 def test_a_grid_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypatch, index, samples):
-    # one range of rows per CPU and never more ranges than blocks: each range
-    # past the first is sampled and formatted by a forked writer, and its
-    # text appended in row order
+    # blocks dealt in turn to one process per CPU, never more processes than
+    # blocks: each process past the first is a forked writer that samples
+    # and formats its blocks, and each block's text is appended in row order
     forks = count_forks(monkeypatch)
     written = {}
     for cpus in (1, 2, 3):
@@ -968,6 +968,20 @@ def test_a_grid_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypat
         written[cpus] = [(out / name).read_bytes() for name in ("samples.csv", "samples.json")]
     assert written[2] == written[1]
     assert written[3] == written[1]
+
+
+@pytest.mark.parametrize(
+    "cpus,count,blocks",
+    [
+        (1, 1024, [[0]]), (1, 1025, [[0, 1]]), (1, 2049, [[0, 1, 2]]), (1, 4097, [[0, 1, 2, 3, 4]]),
+        (2, 1024, [[0]]), (2, 1025, [[0], [1]]), (2, 2049, [[0, 2], [1]]), (2, 4097, [[0, 2, 4], [1, 3]]),
+        (3, 1024, [[0]]), (3, 1025, [[0], [1]]), (3, 2049, [[0], [1], [2]]), (3, 4097, [[0, 3], [1, 4], [2]]),
+    ],
+)
+def test_blocks_are_dealt_to_the_processes_in_turn(monkeypatch, cpus, count, blocks):
+    use_cpus(monkeypatch, cpus)
+    B = grid._BLOCK
+    assert grid.deal(count) == [[range(b * B, min(b * B + B, count)) for b in part] for part in blocks]
 
 
 SAMPLE_FILES = ("samples.csv", "samples.json")
@@ -987,8 +1001,8 @@ def _kept_old_files(tmp_path, names=SAMPLE_FILES) -> bool:
 
 
 def test_a_writer_out_of_space_exits_4_and_replaces_neither_file(tmp_path, monkeypatch, capsys):
-    # the writer of rows 2048 to 4096 fails at its first write to its part
-    # of samples.json; the parent reports the writer's message
+    # the writer of blocks 1 and 3 fails at its first write to its part of
+    # samples.json; the parent reports the writer's message
     _keep_old_files(tmp_path)
     use_cpus(monkeypatch, 2)
     parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
@@ -1031,7 +1045,7 @@ def test_a_writer_killed_by_a_signal_exits_4(tmp_path, monkeypatch, capsys):
     use_cpus(monkeypatch, 2)
     _sample_in_a_writer(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
-    message = "rows 2048 to 4096 were not written: their process was killed by SIGKILL"
+    message = "rows 1024 to 2047 were not written: their process was killed by SIGKILL"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert _kept_old_files(tmp_path)
 
@@ -1046,7 +1060,7 @@ def test_a_bug_in_a_writer_exits_4(tmp_path, monkeypatch, capsys):
 
     _sample_in_a_writer(monkeypatch, bug)
     assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
-    assert capsys.readouterr().err.endswith("error: rows 2048 to 4096 were not written: their process exited 1\n")
+    assert capsys.readouterr().err.endswith("error: rows 1024 to 2047 were not written: their process exited 1\n")
     assert _kept_old_files(tmp_path)
 
 
@@ -1084,8 +1098,8 @@ def test_a_failure_in_the_first_range_ends_every_writer(tmp_path, monkeypatch, c
 
 
 def _svg_forks(out, samples, cpus) -> int:
-    # a writer per range of rows past the first, then a renderer per range of
-    # each plot's points past the first
+    # a writer per process past the first for the rows, then a renderer per
+    # process past the first for each plot's points
     def ways(count):
         return min(cpus, -(-count // grid._BLOCK))
 
@@ -1095,8 +1109,9 @@ def _svg_forks(out, samples, cpus) -> int:
 @pytest.mark.parametrize("samples", [1024, 1025, 2048, 2049, 4097])
 @pytest.mark.parametrize("index", range(3), ids=["config0", "config1", "config2"])
 def test_svg_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypatch, index, samples):
-    # the rows are sampled into float columns one range per CPU, and each
-    # plot's points formatted one range per CPU, in the view of all of them
+    # the rows are sampled into float columns, and each plot's points
+    # formatted in the view of all of them, in blocks dealt to one process
+    # per CPU
     forks = count_forks(monkeypatch)
     written = {}
     for cpus in (1, 2, 3):
@@ -1129,7 +1144,7 @@ def split_svg_out(tmp_path, monkeypatch):
 
 
 def test_an_svg_writer_out_of_space_exits_4(split_svg_out, monkeypatch, capsys):
-    # the writer of rows 2048 to 4096 fails at its first write of a column
+    # the writer of blocks 1 and 3 fails at its first write of a column
     parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
 
     def full_in_a_writer(*args, **kwargs):
@@ -1152,7 +1167,7 @@ def test_an_svg_writer_out_of_space_exits_4(split_svg_out, monkeypatch, capsys):
 def test_an_svg_writer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsys):
     _sample_in_a_writer(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
-    message = "rows 2048 to 4096 were not written: their process was killed by SIGKILL"
+    message = "rows 1024 to 2047 were not written: their process was killed by SIGKILL"
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -1162,7 +1177,7 @@ def test_a_bug_in_an_svg_writer_exits_4(split_svg_out, monkeypatch, capsys):
 
     _sample_in_a_writer(monkeypatch, bug)
     assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
-    assert capsys.readouterr().err.endswith("error: rows 2048 to 4096 were not written: their process exited 1\n")
+    assert capsys.readouterr().err.endswith("error: rows 1024 to 2047 were not written: their process exited 1\n")
 
 
 def test_an_svg_writer_out_of_memory_exits_2(split_svg_out, monkeypatch, capsys):
@@ -1175,7 +1190,7 @@ def test_an_svg_writer_out_of_memory_exits_2(split_svg_out, monkeypatch, capsys)
 
 
 def test_a_renderer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsys):
-    # the process that formats the second half of curve.svg's points dies
+    # the process that formats blocks 1 and 3 of curve.svg's points dies
     parent, text = os.getpid(), svgplot.Polyline.text
 
     def killed_in_a_writer(self, start, stop):
@@ -1185,8 +1200,68 @@ def test_a_renderer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsy
 
     monkeypatch.setattr(svgplot.Polyline, "text", killed_in_a_writer)
     assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
-    message = "points 2048 to 4096 of curve.svg were not written: their process was killed by SIGKILL"
+    message = "points 1024 to 2047 of curve.svg were not written: their process was killed by SIGKILL"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _fail(failure):
+    if failure == "killed":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise {"out-of-space": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "out-of-memory": MemoryError()}[failure]
+
+
+@pytest.mark.parametrize("failure", ["killed", "out-of-space", "out-of-memory"])
+@pytest.mark.parametrize("process", ["sample-writer", "svg-writer", "svg-renderer"])
+def test_a_process_failing_on_its_second_block_ends_the_run(tmp_path, monkeypatch, capsys, process, failure):
+    # with two CPUs, 4,097 rows, or points, make five blocks, and the forked
+    # process does blocks 1 and 3: it fails at its first write of block 3,
+    # once the parent has copied block 1
+    sub, names, part, block, name = {
+        "sample-writer": ("sample", SAMPLE_FILES, 0, "rows 3072 to 4095", "samples.csv"),
+        "svg-writer": ("svg", SVG_FILES, 0, "rows 3072 to 4095", "curve.svg"),
+        # the part of curve.svg's points, made after one part of each column
+        "svg-renderer": ("svg", SVG_FILES, 6, "points 3072 to 4095 of curve.svg", "curve.svg"),
+    }[process]
+    spill, out = tmp_path / "spill", tmp_path / "out"
+    spill.mkdir()
+    out.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    _keep_old_files(out, names)
+    use_cpus(monkeypatch, 2)
+    temporary_file, pread, made, copied = tempfile.TemporaryFile, os.pread, [], []
+
+    def failing_at_block_3(*args, **kwargs):
+        made.append(fh := temporary_file(*args, **kwargs))
+        if len(made) == part + 1:
+            write, writes = fh.write, []
+
+            def second_fails(data):
+                writes.append(data)
+                if len(writes) == 2:
+                    _fail(failure)
+                return write(data)
+
+            fh.write = second_fails
+            copied.clear()
+            copied.append(fh.fileno())
+        return fh
+
+    def copying(fd, n, offset):
+        copied.append(fd)
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing_at_block_3)
+    monkeypatch.setattr(os, "pread", copying)
+    code = run(FIG4, out, sub=sub, extra=("--samples", "4097"))
+    assert copied.count(copied[0]) == 2  # the part's fd, and the copy of block 1 from it
+    code_and_message = {
+        "killed": (4, f"{block} were not written: their process was killed by SIGKILL"),
+        "out-of-space": (4, f"cannot write {name}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+        "out-of-memory": (2, "run too large for available memory"),
+    }[failure]
+    assert (code, capsys.readouterr().err) == (code_and_message[0], f"error: {code_and_message[1]}\n")
+    assert _kept_old_files(out, names)
+    assert os.listdir(spill) == []
 
 
 def test_a_failure_in_the_svg_parent_ends_every_writer(tmp_path, monkeypatch, capsys):

@@ -243,14 +243,24 @@ class TestSample:
         p = params(1.0, theta1=400.0, phi="theta")
         assert [r.valid.in_domain for r in sample(p, 5)] == [True, True, True, True, False]
 
-    def test_a_grid_theta_that_overflows_is_flagged(self):
+    def test_a_grid_whose_steps_overflow_keeps_every_theta_finite(self):
         # the span is finite, but 2 * 1e308 on the way to the third grid
-        # theta is not; that row is flagged like any row that cannot be
-        # evaluated, not raised from cos(inf)
+        # theta is not; that row takes 2 * (1e308/3) instead, and is flagged
+        # because its L overflows
         p = params(1.0, theta1=1e308)
         rows = sample(p, 4)
-        assert rows[2].theta == math.inf
+        assert [r.theta for r in rows] == [0.0, 1e308 / 3, 2 * (1e308 / 3), 1e308]
         assert [r.valid.in_domain for r in rows] == [True, False, False, False]
+
+    def test_an_R_that_overflows_flags_the_row(self):
+        # rho is about 8.5e307 and 1 + f' = -1999 at theta0, so R overflows
+        # while rho does not; radius_at raises where sample flags
+        p = params(1.000000000001, a=1e-30, b=8.5e307, theta0=-1000.0, theta1=1.0, phi="theta^2")
+        row = sample(p, 9)[0]
+        assert not row.valid.in_domain and math.isnan(row.R)
+        assert math.isfinite(curve.arc_and_rho(p, -1000.0)[1])
+        with pytest.raises(OverflowError, match="^R is not finite$"):
+            radius_at(p, -1000.0)
 
     def test_cartesian_identities(self, fig5):
         for r in sample(fig5, 33):
@@ -715,6 +725,47 @@ def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, e
         assert _bits(row) == _bits(_ref_sample_row(p, r.theta))
     for L in (-2.0 * b / a, -b / a, 0.0, 0.5, 1e3):
         assert _outcome(radius_of_curvature, p, L) == _outcome(_ref_rho, p, L), L
+
+
+def _grid_before(p, count):
+    # theta0 + i*span/last for every row but the last, which is theta1
+    span, last = p.theta1 - p.theta0, count - 1
+    return [p.theta0 + i * span / last for i in range(last)] + [p.theta1]
+
+
+@pytest.mark.parametrize(
+    "theta0,theta1,count",
+    [
+        (0.0, 15.0, 4097),
+        (-8.5e307, 8.5e307, 9),
+        (0.0, 1e308, 4),
+        (-1e308, 7e307, 2049),
+        (1e308, sys.float_info.max, 1025),
+        (-sys.float_info.max, -1e308, 5),
+        (5e-324, 1e-300, 3),
+    ],
+)
+def test_grid_thetas_are_finite_nondecreasing_and_end_on_theta0_and_theta1(theta0, theta1, count):
+    p = params(1.0, theta0=theta0, theta1=theta1)
+    thetas = curve._grid(p, count)
+    assert all(map(math.isfinite, thetas))
+    assert all(s <= t for s, t in zip(thetas, thetas[1:]))
+    assert (_bits(thetas[0]), _bits(thetas[-1])) == (_bits(theta0), _bits(theta1))
+    # only the rows whose theta overflowed before have moved
+    assert [_bits(t) for t, old in zip(thetas, _grid_before(p, count)) if old != math.inf] == [
+        _bits(old) for old in _grid_before(p, count) if old != math.inf
+    ]
+    # a process's blocks of the grid are the whole grid's rows
+    B = 1024
+    dealt = [range(b * B, min(b * B + B, count)) for b in range(count % 2, -(-count // B), 2)]
+    assert curve._grid(p, count, dealt) == [thetas[i] for r in dealt for i in r]
+
+
+def test_a_grid_that_would_overflow_samples_every_row():
+    # phi' = -1 keeps the turn at 0, so every row is in domain at the origin;
+    # rows 2 to 7 read theta = inf, and were flagged, while i*span overflowed
+    p = params(1.0, theta0=-8.5e307, theta1=8.5e307, phi="0 - theta")
+    assert all(r.valid.in_domain and math.isfinite(r.theta) for r in sample(p, 9))
 
 
 def _sample_by_point(p, count):
