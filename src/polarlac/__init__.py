@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 _LAYERS = {
     "curve": (
-        "CurveParams", "CurveSample", "DomainExceeded", "InvalidParameters", "NonpositiveRho",
-        "ValidationReport", "arc_and_rho", "arc_length", "radius_at", "radius_of_curvature", "sample", "validate",
+        "CurveParams", "CurveSample", "DomainExceeded", "InvalidParameters", "ValidationReport", "arc_and_rho",
+        "arc_length", "radius_at", "sample", "validate",
     ),
     "diffgeo": (
         "OdeBlowUp", "OracleReport", "compare", "numeric_arc_length", "numeric_curvature", "numeric_phi",

@@ -182,14 +182,14 @@ def _build_params(cfg: RunConfig) -> _curve.CurveParams:
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
-    _write_files(out_dir, (name,), ((text,),))
+    _write_files(out_dir, (name,), ((text.encode(),),))
 
 
-def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[str | bytes, ...]]) -> None:
-    """Write ``blocks``, each one text per name (or its UTF-8 bytes), to a
-    temp file per name as they come; replace the named files once every temp
-    file is complete, or on any failure remove every temp file, so that no
-    named file is replaced."""
+def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[bytes, ...]]) -> None:
+    """Write ``blocks``, each the UTF-8 bytes of one text per name, to a temp
+    file per name as they come; replace the named files once every temp file
+    is complete, or on any failure remove every temp file, so that no named
+    file is replaced."""
     name, files, tmps = names[0], [], []
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -198,9 +198,9 @@ def _write_files(out_dir: str, names: tuple[str, ...], blocks: Iterable[tuple[st
                 fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
                 tmps.append(tmp)
                 files.append(os.fdopen(fd, "wb"))
-            for texts in blocks:
-                for name, fh, text in zip(names, files, texts):
-                    fh.write(text.encode() if isinstance(text, str) else text)
+            for chunks in blocks:
+                for name, fh, chunk in zip(names, files, chunks):
+                    fh.write(chunk)
             # mkstemp creates each file 0600; give it the mode open() would,
             # 0666 less the umask, which can only be read by setting it
             umask = os.umask(0o077)

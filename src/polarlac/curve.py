@@ -74,12 +74,6 @@ class DomainExceeded(ValueError):
         )
 
 
-class NonpositiveRho(ValueError):
-    def __init__(self, value: float):
-        super().__init__(f"a*L + b = {value!r} is not positive")
-        self.value = value
-
-
 class CurveParams(Record):
     """Full specification of one curve; immutable after construction."""
 
@@ -184,7 +178,7 @@ def _compile_turn(n: float, a: float, b: float) -> Callable[[float], float]:
 def _compile(n: float, a: float, b: float) -> Callable[[float], tuple[float, float]]:
     # u -> (L, rho); raises ValueError where x <= -1, as log1p does, and
     # only there; OverflowError where u is not finite or x, L or rho leaves
-    # float range
+    # float range, so that L and rho are finite wherever it returns
     log_rho0 = math.log(b) / n  # ln b^(1/n)
     exp, expm1 = math.exp, math.expm1
     turn = _compile_turn(n, a, b)
@@ -193,14 +187,18 @@ def _compile(n: float, a: float, b: float) -> Callable[[float], tuple[float, flo
         # rho = exp(w + ln b^(1/n)), so that it overflows, as a row error,
         # only where rho itself does
         if not u:
-            return 0.0, exp(log_rho0)
-        w = turn(u)  # past the domain end, an infinite u raises here first
-        if u - u:  # u is inf or NaN, on which expm1 and exp do not raise
-            raise OverflowError("the turn is not finite")
-        L = b * expm1(n * w) / a
-        if L - L:  # nor do * and /
-            raise OverflowError("L is not finite")
-        return L, exp(w + log_rho0)
+            L, rho = 0.0, exp(log_rho0)
+        else:
+            w = turn(u)  # past the domain end, an infinite u raises here first
+            if u - u:  # u is inf or NaN, on which expm1 and exp do not raise
+                raise OverflowError("the turn is not finite")
+            L = b * expm1(n * w) / a
+            if L - L:  # nor do * and /
+                raise OverflowError("L is not finite")
+            rho = exp(w + log_rho0)
+        if rho - rho:  # ln b^(1/n) or w is inf or NaN, as where n is subnormal
+            raise OverflowError("rho is not finite")
+        return L, rho
 
     return arc
 
@@ -247,14 +245,6 @@ def arc_length(p: CurveParams, theta: float) -> float:
     return arc_and_rho(p, theta)[0]
 
 
-def radius_of_curvature(p: CurveParams, L: float) -> float:
-    """rho = (a*L + b)^(1/n) from L; raises NonpositiveRho where a*L + b <= 0."""
-    g = p.a * L + p.b
-    if g <= 0.0:
-        raise NonpositiveRho(g)
-    return g ** (1.0 / p.n)
-
-
 def radius_at(p: CurveParams, theta: float) -> float:
     """R = rho(L(theta)) * (1 + f'(theta)) * sin f(theta); may be negative; raises OverflowError where R overflows."""
     # one evaluation of phi gives both the turn and f'; where phi has a
@@ -269,7 +259,7 @@ def radius_at(p: CurveParams, theta: float) -> float:
     except ValueError:
         raise DomainExceeded(p, theta) from None
     R = rho * (1.0 + d) * math.sin(v)
-    if R - R and not rho - rho:  # R overflows where rho does not
+    if R - R:  # rho is finite, but R can overflow
         raise OverflowError("R is not finite")
     return R
 
@@ -304,22 +294,32 @@ def sample(p: CurveParams, count: int, rows: Sequence[range] | None = None) -> l
     Rows past the domain boundary, or where rho, R or phi cannot be evaluated
     (including float overflow and a turn that is not finite), come back
     flagged instead of aborting the batch: each row's ``valid`` is the
-    shared IN_DOMAIN or FLAGGED.
+    shared IN_DOMAIN or FLAGGED.  A flagged row keeps the L and rho that
+    ``arc_and_rho`` gives at its theta, as where R or theta + phi overflows
+    or phi has a value but no derivative (sqrt(theta) at 0); its other
+    values are NaN.
     """
     # a row that raises a row error anywhere, cos(inf) included, is
     # flagged; past the domain arc raises ValueError, so no DomainExceeded
     # is built
     out = []
-    append, new, evaluate, arc = out.append, tuple.__new__, p.phi.eval_with_derivative, p._arc
-    sin, cos, in_domain, theta0, phi0 = math.sin, math.cos, IN_DOMAIN, p.theta0, p.phi0
+    append, new, evaluate, value, arc = out.append, tuple.__new__, p.phi.eval_with_derivative, p.phi.value, p._arc
+    sin, cos, in_domain, flagged, nan = math.sin, math.cos, IN_DOMAIN, FLAGGED, math.nan
+    theta0, phi0 = p.theta0, p.phi0
     for theta in _grid(p, count, rows):
         try:
-            v, d = evaluate(theta)
-            L, r = arc((theta - theta0) + (v - phi0))
-            R = r * (1.0 + d) * sin(v)
-            if R - R and not r - r:  # as radius_at raises
-                raise OverflowError("R is not finite")
-            append(new(CurveSample, (theta, L, R, r, v, d, theta + v, R * cos(theta), R * sin(theta), in_domain)))
+            try:
+                v, d = evaluate(theta)
+            except ROW_ERRORS:  # phi's value alone gives L and rho, if it exists
+                L, r = arc((theta - theta0) + (value(theta) - phi0))
+                R = beta = nan
+            else:
+                L, r = arc((theta - theta0) + (v - phi0))
+                R, beta = r * (1.0 + d) * sin(v), theta + v
+            if R - R or beta - beta:  # R as radius_at raises; beta overflows only near the float limit
+                append(new(CurveSample, (theta, L, nan, r, nan, nan, nan, nan, nan, flagged)))
+            else:
+                append(new(CurveSample, (theta, L, R, r, v, d, beta, R * cos(theta), R * sin(theta), in_domain)))
         except ROW_ERRORS:
             append(_invalid_sample(theta))
     return out

@@ -46,31 +46,26 @@ class LcgLine(NamedTuple):
 
 def lcg_points(p: CurveParams, rows: list[CurveSample]) -> list[LcgPoint]:
     """Graph points from the model, (ln rho, ln(|n/a| rho^n)), one per sample
-    row of ``p``, skipping every row that raises a row error (past the
-    domain boundary, rho out of range, phi not evaluable) and every row where
+    row of ``p`` that has a rho, skipping every row where rho^n overflows or
     rho or |n/a| rho^n is not a normal float, whose logarithm is not exact.
     Since rho^n = a*L + b, the ordinate is taken from rho, which the closed
     form computes without the cancellation a*L + b suffers.
 
-    A row in domain gives its own rho.  A flagged row is evaluated again
-    from its theta and phi's value alone, with no DomainExceeded built:
-    where phi has a value but no derivative, as sqrt(theta) at 0, the row
-    is flagged and yet L and rho exist.
+    Each row gives its own rho: a flagged row keeps one where L and rho
+    exist, as where phi has a value but no derivative (sqrt(theta) at 0),
+    and its rho is NaN elsewhere, as past the domain end.
     """
     scale, n, normal = abs(p.n / p.a), p.n, sys.float_info.min
     new, log = tuple.__new__, math.log
     points = []
     for row in rows:
+        rho = row.rho
         try:
-            if row.valid.in_domain:
-                rho = row.rho
-            else:  # past the domain end _arc raises ValueError, a row error
-                rho = p._arc(_curve.turn_angle(p, row.theta))[1]
             q = scale * rho ** n
-            if rho >= normal and q >= normal:  # also not NaN, on which log does not raise
-                points.append(new(LcgPoint, (log(rho), log(q))))
         except ROW_ERRORS:
             continue
+        if rho >= normal and q >= normal:  # also not NaN, on which log does not raise
+            points.append(new(LcgPoint, (log(rho), log(q))))
     return points
 
 

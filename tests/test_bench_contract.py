@@ -64,3 +64,15 @@ def test_traced_counts_repeat_over_a_split_grid(tmp_path, monkeypatch):
     assert first.counts() == second.counts()
     assert first.metrics(runs=2, rows=2 * 2049)["curve.closed_passes_per_run"] == 1.0
     assert first.values["sampled_rows"] == 2 * 1025
+
+
+def test_a_flagged_row_is_evaluated_once(tmp_path, monkeypatch):
+    # dense config 2 is 60 % past its domain; on one CPU, svg samples every
+    # row once and draws the graph from the rows as they came, so the one
+    # call of phi's value is CurveParams' phi0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    argv = ["--n", "2", "--a", "-1", "--theta1", "5", "--phi", "pi/8", "--samples", "2049"]
+    t = _traced_pass(tmp_path, ("svg",), argv)
+    assert t.values["flagged_rows"] > 1000
+    assert t.calls["phiexpr.value"] == 1
+    assert t.calls["curve.sample"] == 1

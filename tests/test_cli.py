@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import errno
 import hashlib
@@ -108,6 +109,15 @@ class TestSampleCommand:
         lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert lines[-1].split(",")[1] == "nan"
         assert lines[-1].endswith(",false")
+
+    def test_a_flagged_row_is_written_with_theta_alone(self, tmp_path):
+        # row 0 of sqrt(theta) + 0.6 at theta0 = 0 has no derivative: it is
+        # flagged and keeps L and rho, which the files do not show
+        args = ["--n", "2", "--theta1", "5", "--phi", "sqrt(theta) + 0.6"]
+        assert run(args, tmp_path, extra=("--samples", "8")) == 0
+        assert (tmp_path / "samples.csv").read_text().splitlines()[1] == "0" + ",nan" * 7 + ",false"
+        row = read_json(tmp_path, "samples.json")["rows"][0]
+        assert row == {**dict.fromkeys(["L", "R", "beta", "phi", "rho", "x", "y"]), "in_domain": False, "theta": 0.0}
 
     def test_csv_round_trip_is_lossless(self, tmp_path):
         assert run(FIG5, tmp_path, extra=("--samples", "64")) == 0
@@ -227,7 +237,7 @@ class TestSampleCommand:
             v = [pool[(i + 7 * k) % len(pool)] for k in range(9)]
             valid = curve.SampleValidity(i % 7 != 3)
             rows.append(curve.CurveSample(*v, valid))
-        monkeypatch.setattr(curve, "sample", lambda p, count: rows)
+        monkeypatch.setattr(curve, "sample", lambda p, count, blocks: rows)
 
         argv = ["--n", "2", "--a", "-1", "--theta1", "5", "--phi", "pi/8"]
         assert run(argv, tmp_path, extra=("--samples", "8")) == 0
@@ -655,9 +665,9 @@ ESCAPES = [
     # |n/a| * (a*L + b) is 0, which has no logarithm
     (["svg", "--n", "1.0000000001", "--a", "1e300", "--b", "1e-300", "--theta1", "1e-300",
       "--phi", "1/(theta - 1)", "--samples", "5"], 5),
-    # rho = g^(1/n) with 1/n = inf: no row of curve.svg is finite
+    # rho = b^(1/n) with 1/n = inf: every row is flagged, and nothing is left to plot
     (["svg", "--n", "5e-324", "--a", "-1000000.0", "--b", "1.0000000001", "--theta0", "0.5",
-      "--theta1", "1", "--phi", "theta^0.5", "--samples", "5"], 5),
+      "--theta1", "1", "--phi", "theta^0.5", "--samples", "5"], 2),
     (["sample", "--n", "1", "--phi", NESTED_200], 3),
     (["sample", "--n", "2", "--phi", DEEP_OVERFLOW], 2),
 ]
@@ -1000,34 +1010,6 @@ def _kept_old_files(tmp_path, names=SAMPLE_FILES) -> bool:
     )
 
 
-def test_a_writer_out_of_space_exits_4_and_replaces_neither_file(tmp_path, monkeypatch, capsys):
-    # the writer of blocks 1 and 3 fails at its first write to its part of
-    # samples.json; the parent reports the writer's message
-    _keep_old_files(tmp_path)
-    use_cpus(monkeypatch, 2)
-    parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
-
-    def full_in_a_writer(*args, **kwargs):
-        made.append(temporary_file(*args, **kwargs))
-        fh, write = made[-1], made[-1].write
-
-        def full(text):
-            if in_a_writer(parent):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write(text)
-
-        if len(made) == 2:
-            fh.write = full
-        return fh
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", full_in_a_writer)
-    assert run(FIG4, tmp_path, extra=("--samples", "4097")) == 4
-    assert len(made) == 2  # one part of each file, for the one writer
-    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    assert capsys.readouterr().err == f"error: cannot write samples.json: {reason}\n"
-    assert _kept_old_files(tmp_path)
-
-
 def _sample_in_a_writer(monkeypatch, action):
     # curve.sample, but a writer first runs action()
     parent, sample = os.getpid(), curve.sample
@@ -1129,39 +1111,13 @@ def test_svg_split_over_processes_writes_the_serial_bytes(tmp_path, monkeypatch,
 @pytest.fixture
 def split_svg_out(tmp_path, monkeypatch):
     """An out directory holding old plots, for an svg run split in two; after
-    the test no plot is replaced, and nothing is left where the writers spill
-    their columns."""
-    spill = tmp_path / "spill"
-    spill.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    the test no plot is replaced."""
     out = tmp_path / "out"
     out.mkdir()
     _keep_old_files(out, SVG_FILES)
     use_cpus(monkeypatch, 2)
     yield out
     assert _kept_old_files(out, SVG_FILES)
-    assert os.listdir(spill) == []
-
-
-def test_an_svg_writer_out_of_space_exits_4(split_svg_out, monkeypatch, capsys):
-    # the writer of blocks 1 and 3 fails at its first write of a column
-    parent, temporary_file, made = os.getpid(), tempfile.TemporaryFile, []
-
-    def full_in_a_writer(*args, **kwargs):
-        made.append(temporary_file(*args, **kwargs))
-
-        def full(data):
-            assert in_a_writer(parent)
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        made[-1].write = full
-        return made[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", full_in_a_writer)
-    assert run(FIG4, split_svg_out, sub="svg", extra=("--samples", "4097")) == 4
-    assert len(made) == 6  # one part of each column, for the one writer
-    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    assert capsys.readouterr().err == f"error: cannot write curve.svg: {reason}\n"
 
 
 def test_an_svg_writer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsys):
@@ -1204,64 +1160,171 @@ def test_a_renderer_killed_by_a_signal_exits_4(split_svg_out, monkeypatch, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _fail(failure):
-    if failure == "killed":
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise {"out-of-space": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "out-of-memory": MemoryError()}[failure]
+def _fail_in_a_writer(monkeypatch, width, sent, writes, fail):
+    # grid._write_part, but in a writer whose blocks have ``width`` texts,
+    # fail() runs at the ``writes``-th write to the pipe once ``sent`` blocks
+    # have gone up it whole, after what was written before has gone too
+    write_part = grid._write_part
+
+    class Pipe:
+        def __init__(self, pipe):
+            self.pipe, self.sent, self.writes = pipe, 0, 0
+
+        def write(self, data):
+            if self.sent == sent:
+                self.writes += 1
+                if self.writes == writes:
+                    self.pipe.flush()
+                    fail()
+            return self.pipe.write(data)
+
+        def flush(self):
+            self.sent += 1
+            self.pipe.flush()
+
+    def failing(pipe, blocks, rows, record):
+        write_part(Pipe(pipe) if record.size == 8 * width else pipe, blocks, rows, record)
+
+    monkeypatch.setattr(grid, "_write_part", failing)
 
 
-@pytest.mark.parametrize("failure", ["killed", "out-of-space", "out-of-memory"])
+def _count_blocks(monkeypatch) -> list:
+    # the blocks each grid._parts call yielded, one count per call
+    parts, counts = grid._parts, []
+
+    def counting(*args):
+        counts.append(0)
+        with contextlib.closing(parts(*args)) as blocks:
+            for chunks in blocks:
+                counts[-1] += 1
+                yield chunks
+
+    monkeypatch.setattr(grid, "_parts", counting)
+    return counts
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _no_memory():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("failure", ["killed", "out-of-memory"])
 @pytest.mark.parametrize("process", ["sample-writer", "svg-writer", "svg-renderer"])
 def test_a_process_failing_on_its_second_block_ends_the_run(tmp_path, monkeypatch, capsys, process, failure):
     # with two CPUs, 4,097 rows, or points, make five blocks, and the forked
-    # process does blocks 1 and 3: it fails at its first write of block 3,
-    # once the parent has copied block 1
-    sub, names, part, block, name = {
-        "sample-writer": ("sample", SAMPLE_FILES, 0, "rows 3072 to 4095", "samples.csv"),
-        "svg-writer": ("svg", SVG_FILES, 0, "rows 3072 to 4095", "curve.svg"),
-        # the part of curve.svg's points, made after one part of each column
-        "svg-renderer": ("svg", SVG_FILES, 6, "points 3072 to 4095 of curve.svg", "curve.svg"),
+    # process does blocks 1 and 3: it fails as it starts to send block 3,
+    # and the parent has passed on blocks 0 to 2
+    sub, names, width, block = {
+        "sample-writer": ("sample", SAMPLE_FILES, 2, "rows 3072 to 4095"),
+        "svg-writer": ("svg", SVG_FILES, 6, "rows 3072 to 4095"),
+        "svg-renderer": ("svg", SVG_FILES, 1, "points 3072 to 4095 of curve.svg"),
     }[process]
-    spill, out = tmp_path / "spill", tmp_path / "out"
-    spill.mkdir()
-    out.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spill))
-    _keep_old_files(out, names)
+    _keep_old_files(tmp_path, names)
     use_cpus(monkeypatch, 2)
-    temporary_file, pread, made, copied = tempfile.TemporaryFile, os.pread, [], []
-
-    def failing_at_block_3(*args, **kwargs):
-        made.append(fh := temporary_file(*args, **kwargs))
-        if len(made) == part + 1:
-            write, writes = fh.write, []
-
-            def second_fails(data):
-                writes.append(data)
-                if len(writes) == 2:
-                    _fail(failure)
-                return write(data)
-
-            fh.write = second_fails
-            copied.clear()
-            copied.append(fh.fileno())
-        return fh
-
-    def copying(fd, n, offset):
-        copied.append(fd)
-        return pread(fd, n, offset)
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", failing_at_block_3)
-    monkeypatch.setattr(os, "pread", copying)
-    code = run(FIG4, out, sub=sub, extra=("--samples", "4097"))
-    assert copied.count(copied[0]) == 2  # the part's fd, and the copy of block 1 from it
+    _fail_in_a_writer(monkeypatch, width, 1, 1, {"killed": _killed, "out-of-memory": _no_memory}[failure])
+    counts = _count_blocks(monkeypatch)
+    code = run(FIG4, tmp_path, sub=sub, extra=("--samples", "4097"))
+    assert counts[-1] == 3
     code_and_message = {
         "killed": (4, f"{block} were not written: their process was killed by SIGKILL"),
-        "out-of-space": (4, f"cannot write {name}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
         "out-of-memory": (2, "run too large for available memory"),
     }[failure]
     assert (code, capsys.readouterr().err) == (code_and_message[0], f"error: {code_and_message[1]}\n")
-    assert _kept_old_files(out, names)
-    assert os.listdir(spill) == []
+    assert _kept_old_files(tmp_path, names)
+
+
+@pytest.mark.parametrize("sub,width", [("sample", 2), ("svg", 6)])
+def test_a_writer_killed_within_a_block_exits_4_naming_it(tmp_path, monkeypatch, capsys, sub, width):
+    # the writer sends the record of its first block and the block's first
+    # text, and dies before its second: the parent gets fewer bytes than the
+    # record promised
+    names = SAMPLE_FILES if sub == "sample" else SVG_FILES
+    _keep_old_files(tmp_path, names)
+    use_cpus(monkeypatch, 2)
+    _fail_in_a_writer(monkeypatch, width, 0, 3, _killed)
+    assert run(FIG4, tmp_path, sub=sub, extra=("--samples", "4097")) == 4
+    message = "rows 1024 to 2047 were not written: their process was killed by SIGKILL"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _kept_old_files(tmp_path, names)
+
+
+# runs sample on three CPUs in a process of its own, whose first write to a
+# named file's temp file waits a second, long enough for each writer to fill
+# its pipe with more than the pipe holds, and then fails with ENOSPC; prints
+# the exit code, whether every writer was alive at the failure, whether a
+# child was left after the run, and the writers' pids
+_BLOCKED_WRITERS = """
+import errno, os, sys, time
+from polarlac import cli
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+fork, fdopen, forks, alive = os.fork, os.fdopen, [], []
+
+def forking():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+class Full:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        time.sleep(1)
+        alive.append(all(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in forks))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self.fh.close()
+
+os.fork = forking
+os.fdopen = lambda fd, *args, **kwargs: Full(fdopen(fd, *args, **kwargs))
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(code, alive == [True], left, *forks)
+"""
+
+
+def test_a_parent_failing_while_its_writers_block_on_full_pipes_ends_them_quietly(tmp_path):
+    # 16,384 rows in three processes: each writer has over 2 MB to send
+    argv = ["sample", *FIG4, "--samples", "16384", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_WRITERS, *argv], capture_output=True, text=True, timeout=120)
+    code, alive, left, *forks = proc.stdout.split()
+    assert (code, alive, left, len(forks)) == ("4", "True", "False", 2)
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert proc.stderr == f"error: cannot write samples.csv: {reason}\n"
+    assert os.listdir(tmp_path) == []
+    for pid in map(int, forks):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_a_split_sample_makes_one_temp_file_per_output_and_no_other(tmp_path, monkeypatch):
+    # the writers send their blocks up their pipes; only the parent makes
+    # files, one temp file per named output.  Every process appends to one log
+    log = tmp_path / "made"
+
+    def logged(name, make):
+        def making(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(name + "\n")
+            return make(*args, **kwargs)
+        return making
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", logged("TemporaryFile", tempfile.TemporaryFile))
+    monkeypatch.setattr(tempfile, "mkstemp", logged("mkstemp", tempfile.mkstemp))
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert run(FIG4, tmp_path / "out", extra=("--samples", "4097")) == 0
+    assert len(forks) == 1
+    assert log.read_text().splitlines() == ["mkstemp", "mkstemp"]
 
 
 def test_a_failure_in_the_svg_parent_ends_every_writer(tmp_path, monkeypatch, capsys):

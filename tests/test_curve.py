@@ -6,16 +6,17 @@ import struct
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlac import (
     CurveParams,
     DomainExceeded,
-    NonpositiveRho,
+    arc_and_rho,
     arc_length,
     lcg_closed_form,
     parse,
     radius_at,
-    radius_of_curvature,
     sample,
     validate,
 )
@@ -149,21 +150,30 @@ class TestArcLength:
 
 
 class TestRadiusOfCurvature:
+    # rho from the closed form against the law itself, (a*L + b)^(1/n), of
+    # the L the closed form gives with it
     def test_linear_law(self, fig4):
-        L = math.e - 1.0
-        assert radius_of_curvature(fig4, L) == pytest.approx(math.e, rel=1e-15)
+        L, rho = arc_and_rho(fig4, 1.0)
+        assert L == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert rho == pytest.approx(math.e, rel=1e-15)
+        assert rho == pytest.approx(_ref_rho(fig4, L), rel=1e-15)
 
     def test_reciprocal_law(self, fig7):
-        assert radius_of_curvature(fig7, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        L, rho = arc_and_rho(fig7, 4.0)
+        assert L == pytest.approx(2.0, rel=1e-15)
+        assert rho == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert rho == pytest.approx(_ref_rho(fig7, L), rel=1e-15)
 
     def test_square_law_intercept(self):
         p = params(2.0, b=4.0)
-        assert radius_of_curvature(p, 0.0) == 2.0
+        assert arc_and_rho(p, 0.0) == (0.0, 2.0) == (0.0, _ref_rho(p, 0.0))
 
     def test_nonpositive_argument(self, fig7):
-        with pytest.raises(NonpositiveRho) as exc:
-            radius_of_curvature(fig7, -1.0)
-        assert exc.value.value == 0.0
+        # at n = -1, x = 2u reaches -1 at theta = -0.5, where L = -1 and
+        # a*L + b = 0: the curve ends there
+        assert _ref_rho(fig7, -1.0) is None
+        with pytest.raises(DomainExceeded):
+            arc_and_rho(fig7, -0.5)
 
 
 class TestRadiusAt:
@@ -277,7 +287,7 @@ class TestSample:
         from polarlac import diffgeo, lcg, phiexpr, svgplot
 
         classes = [
-            curve.DomainExceeded, curve.NonpositiveRho, curve.InvalidParameters, phiexpr.ParseError,
+            curve.DomainExceeded, curve.InvalidParameters, phiexpr.ParseError,
             phiexpr.EvalDomainError, diffgeo.DegeneratePoint, diffgeo.ToleranceNotMet, diffgeo.OdeBlowUp,
             lcg.TooFewPoints, lcg.DegenerateFit, svgplot.NothingToPlot, OverflowError, ZeroDivisionError,
         ]
@@ -586,22 +596,27 @@ def _ref_w(p, u):
 def _ref_L_rho(p, theta, u):
     n = p.n
     if u == 0.0:
-        return 0.0, math.exp(math.log(p.b) / n)
-    w = _ref_w(p, u)
-    if w is None:
-        raise DomainExceeded(p, theta)
-    if not math.isfinite(u):
-        raise OverflowError("the turn is not finite")
-    L = p.b * math.expm1(n * w) / p.a
-    if not math.isfinite(L):
-        raise OverflowError("L is not finite")
-    return L, math.exp(w + math.log(p.b) / n)
+        L, rho = 0.0, math.exp(math.log(p.b) / n)
+    else:
+        w = _ref_w(p, u)
+        if w is None:
+            raise DomainExceeded(p, theta)
+        if not math.isfinite(u):
+            raise OverflowError("the turn is not finite")
+        L = p.b * math.expm1(n * w) / p.a
+        if not math.isfinite(L):
+            raise OverflowError("L is not finite")
+        rho = math.exp(w + math.log(p.b) / n)
+    if not math.isfinite(rho):
+        raise OverflowError("rho is not finite")
+    return L, rho
 
 
 def _ref_rho(p, L):
+    # the law itself, rho = (a*L + b)^(1/n), from L; None where a*L + b <= 0
     g = p.a * L + p.b
     if g <= 0.0:
-        raise NonpositiveRho(g)
+        return None
     return g if p.n == 1.0 else g ** (1.0 / p.n)
 
 
@@ -621,18 +636,28 @@ def _ref_point(p, theta):
 
 def _ref_radius_at(p, theta):
     _, rho, phi, dphi = _ref_point(p, theta)
-    return rho * (1.0 + dphi) * math.sin(phi)
+    R = rho * (1.0 + dphi) * math.sin(phi)
+    if not math.isfinite(R):
+        raise OverflowError("R is not finite")
+    return R
 
 
 def _ref_sample_row(p, theta):
+    # a flagged row keeps the L and rho of phi's value where they exist
     try:
         L, rho, phi, dphi = _ref_point(p, theta)
+        monotone = 1.0 + dphi
+        R = rho * monotone * math.sin(phi)
+        if math.isfinite(R) and math.isfinite(theta + phi):
+            flags = (rho > 0.0, R > 0.0, monotone > 0.0, True)
+            return (theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), flags)
     except (DomainExceeded, EvalDomainError, OverflowError):
-        return (theta,) + (math.nan,) * 8 + ((False,) * 4,)
-    monotone = 1.0 + dphi
-    R = rho * monotone * math.sin(phi)
-    flags = (rho > 0.0, R > 0.0, monotone > 0.0, True)
-    return (theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), flags)
+        pass
+    try:
+        L, rho = _ref_L_rho(p, theta, (theta - p.theta0) + (p.phi.value(theta) - p.phi0))
+    except (DomainExceeded, EvalDomainError, OverflowError):
+        L = rho = math.nan
+    return (theta, L, math.nan, rho, *[math.nan] * 5, (rho > 0.0, False, False, False))
 
 
 def _ref_boundary(p, theta_bad):
@@ -723,8 +748,22 @@ def test_kernel_matches_the_closed_forms_bitwise(n, a, b, theta0, theta1, phi, e
         flags = (r.rho > 0.0, r.R > 0.0, 1.0 + r.dphi > 0.0, r.valid.in_domain)
         row = (r.theta, r.L, r.R, r.rho, r.phi, r.dphi, r.beta, r.x, r.y, flags)
         assert _bits(row) == _bits(_ref_sample_row(p, r.theta))
-    for L in (-2.0 * b / a, -b / a, 0.0, 0.5, 1e3):
-        assert _outcome(radius_of_curvature, p, L) == _outcome(_ref_rho, p, L), L
+
+
+@pytest.mark.parametrize("n,a,b,theta0,theta1,phi,extra", KERNEL_CONFIGS)
+def test_rho_follows_the_law_from_its_own_L(n, a, b, theta0, theta1, phi, extra):
+    # where a*L + b cancels by at most half, (a*L + b)^(1/n) is as accurate
+    # as L is; near the domain end it is not, and the closed form still is
+    p = params(n, a=a, b=b, theta0=theta0, theta1=theta1, phi=phi)
+    count = 41
+    span = theta1 - theta0
+    for theta in [theta0 + (i - count) * span / (count - 1) for i in range(3 * count - 1)]:
+        try:
+            L, rho = arc_and_rho(p, theta)
+        except curve.ROW_ERRORS:
+            continue
+        if p.a * L + p.b >= abs(p.a * L):
+            assert rho == pytest.approx(_ref_rho(p, L), rel=1e-13 / min(abs(n), 1.0)), theta
 
 
 def _grid_before(p, count):
@@ -770,16 +809,22 @@ def test_a_grid_that_would_overflow_samples_every_row():
 
 def _sample_by_point(p, count):
     # sample() as one point call per theta, the way it was before its loop
-    # was fused
+    # was fused; a flagged row keeps the L and rho arc_and_rho gives
     rows = []
     for theta in curve._grid(p, count):
         try:
             L, rho, phi, dphi = point(p, theta)
+            monotone = 1.0 + dphi
+            R = rho * monotone * math.sin(phi)
+            if not (math.isfinite(R) and math.isfinite(theta + phi)):
+                raise OverflowError("R or beta is not finite")
         except curve.ROW_ERRORS:
-            rows.append(curve.CurveSample(theta, *[math.nan] * 8, curve.SampleValidity(False)))
+            try:
+                L, rho = arc_and_rho(p, theta)
+            except curve.ROW_ERRORS:
+                L = rho = math.nan
+            rows.append(curve.CurveSample(theta, L, math.nan, rho, *[math.nan] * 5, curve.SampleValidity(False)))
             continue
-        monotone = 1.0 + dphi
-        R = rho * monotone * math.sin(phi)
         valid = curve.SampleValidity(True)
         rows.append(
             curve.CurveSample(theta, L, R, rho, phi, dphi, theta + phi, R * math.cos(theta), R * math.sin(theta), valid)
@@ -820,3 +865,70 @@ def test_pickle_round_trip_after_the_kernel_ran():
     again = pickle.loads(pickle.dumps(exc.value))
     assert again.args[0] == p
     assert (again.theta, again.theta_max, str(again)) == (-0.6, exc.value.theta_max, str(exc.value))
+
+
+def test_a_row_whose_rho_is_not_finite_is_flagged():
+    # n = 5e-324 makes ln b^(1/n) infinite: row 0, at u = 0, read rho = R = inf
+    # and rows 1 to 4 NaN, all in domain
+    p = CurveParams(5e-324, -1e6, 1.0000000001, 0.5, 1.0, parse("theta^0.5"))
+    rows = sample(p, 5)
+    assert not any(r.valid.in_domain for r in rows)
+    assert all(math.isnan(v) for r in rows for v in r[1:-1])
+    with pytest.raises(OverflowError, match="^rho is not finite$"):
+        arc_and_rho(p, 0.5)
+
+
+def test_a_row_whose_beta_overflows_is_flagged_and_keeps_its_L_and_rho():
+    # theta + phi = 2e308 at theta0, where L = 0 and rho = 1
+    p = CurveParams(1.0, 1e-300, 1.0, 1e308, 1.7e308, parse("theta"))
+    row = sample(p, 3)[0]
+    assert not row.valid.in_domain
+    assert (row.L, row.rho) == arc_and_rho(p, 1e308) == (0.0, 1.0)
+    assert all(math.isnan(v) for v in (row.R, row.phi, row.dphi, row.beta, row.x, row.y))
+
+
+# item 19's float extremes: magnitudes from 1e-300 to 8.5e307 of both signs,
+# and up to the largest float, n near 1 and at the ends of the float range,
+# and the acceptance suite's phi laws with the laws of the rows once found
+# wrong there
+_MAGNITUDES = st.one_of(st.floats(1e-300, 8.5e307), st.floats(8.5e307, sys.float_info.max))
+_SIGNED = st.one_of(
+    _MAGNITUDES, _MAGNITUDES.map(lambda v: -v), st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 5.0, -5.0, 15.0])
+)
+_EXPONENTS = st.one_of(
+    st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324,
+                     2.0, 3.0, -1.0, -2.0, -3.0, 0.5]),
+    _SIGNED,
+)
+_LAWS = ["pi/2", "0.01*theta + 0.3", "theta^0.25 + 3", "pi/8", "sqrt(theta) + 0.6", "pi/4",
+         "0 - theta", "theta", "theta^2", "theta^0.5", "1e308*theta"]
+_PHIS = {law: parse(law) for law in _LAWS}
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(_EXPONENTS, _SIGNED, st.one_of(_MAGNITUDES, st.sampled_from([1.0, 0.5, 2.0])), _SIGNED, _SIGNED,
+       st.sampled_from(_LAWS), st.integers(2, 9))
+def test_rows_keep_their_contracts_at_float_extremes(n, a, b, theta0, theta1, law, count):
+    try:
+        p = CurveParams(n, a, b, min(theta0, theta1), max(theta0, theta1), _PHIS[law])
+    except curve.InvalidParameters:
+        return
+    rows = sample(p, count)
+    thetas = [r.theta for r in rows]
+    assert all(map(math.isfinite, thetas))
+    assert all(s <= t for s, t in zip(thetas, thetas[1:]))
+    assert (_bits(thetas[0]), _bits(thetas[-1])) == (_bits(p.theta0), _bits(p.theta1))
+    nan = _bits(math.nan)
+    for r in rows:
+        if r.valid.in_domain:
+            assert all(map(math.isfinite, (r.theta, r.L, r.R, r.rho, r.phi, r.beta, r.x, r.y))), r
+            assert _bits(radius_at(p, r.theta)) == _bits(r.R), r
+            continue
+        try:
+            kept = arc_and_rho(p, r.theta)
+            assert all(map(math.isfinite, kept)), r
+            kept = _bits(kept)
+        except curve.ROW_ERRORS:
+            kept = (nan, nan)
+        assert _bits((r.L, r.rho)) == kept, r
+        assert all(map(math.isnan, (r.R, r.phi, r.dphi, r.beta, r.x, r.y))), r
