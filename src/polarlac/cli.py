@@ -73,7 +73,8 @@ class RunConfig(NamedTuple):
 def _diagnose(message: str) -> None:
     colored = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
     prefix = "\x1b[31merror:\x1b[0m" if colored else "error:"
-    print(f"{prefix} {message}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # a reader that has gone changes no exit code
+        print(f"{prefix} {message}", file=sys.stderr)
 
 
 # the options every subcommand takes, each with one value: (flag, type, help)
@@ -413,4 +414,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Run ``main`` and leave without finalizing the interpreter: by then
+    every output file is closed and every writer reaped.  A stream that
+    cannot be flushed has lost its reader, which changes no exit code."""
+    code = main(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)

@@ -245,9 +245,14 @@ def _summary(values: list[float]) -> ResidualSummary:
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         return ResidualSummary(math.nan, math.nan, 0)
-    return ResidualSummary(
-        max(finite), math.sqrt(math.fsum(v * v for v in finite) / len(finite)), len(finite)
-    )
+    top, count = max(finite), len(finite)
+    try:
+        rms = math.sqrt(math.fsum(v * v for v in finite) / count)
+    except OverflowError:  # fsum's running sum overflowed
+        rms = math.inf
+    if not math.isfinite(rms):  # scale by top, since every residual is >= 0
+        rms = top * math.sqrt(math.fsum((v / top) ** 2 for v in finite) / count)
+    return ResidualSummary(top, rms, count)
 
 
 def _angle_distance_mod_pi(x: float, y: float) -> float:
@@ -265,7 +270,8 @@ def compare(p: CurveParams, count: int) -> OracleReport:
     segments) are flagged degenerate and excluded from the residual
     summaries rather than aborting the run.  Each row is measured in one
     step: its stencils, then the arc-length segment ending there, then its
-    residuals."""
+    residuals.  Once a segment fails, s is NaN on every later row, so no
+    later segment is measured."""
     closed = _curve.sample(p, count)
     ode = iter(ode_arc_length(p, _ODE_STEPS, closed))
 
@@ -302,7 +308,7 @@ def compare(p: CurveParams, count: int) -> OracleReport:
             rho_num = 1.0 / kappa if kappa != 0.0 else math.nan
         except ROW_ERRORS:
             kappa = phi_act = rho_num = math.nan
-        if i:
+        if i and not math.isnan(s):  # no later segment can restore a lost s
             try:
                 s += numeric_arc_length(look, closed[i - 1].theta, theta)
             except ROW_ERRORS:

@@ -832,9 +832,9 @@ def polyline_points(svg_text):
 
 
 def test_unbounded_quadrature_input_ends_in_exit_5(tmp_path, monkeypatch):
-    # two 5e5-radian segments of an oscillating R: each stops at the
-    # arc-length budget of R calls, every row turns degenerate, and the graph
-    # has no points left to fit
+    # two 5e5-radian segments of an oscillating R: the first stops at the
+    # arc-length budget of R calls, the second is not measured, every row
+    # turns degenerate, and the graph has no points left to fit
     calls = []
     radius = curve.radius_at
 
@@ -845,8 +845,8 @@ def test_unbounded_quadrature_input_ends_in_exit_5(tmp_path, monkeypatch):
     monkeypatch.setattr(curve, "radius_at", counting)
     argv = ["--n", "2", "--b", "2", "--theta1", "1e6", "--phi", "sin(theta)", "--samples", "3"]
     assert run(argv, tmp_path, sub="lcg") == 5
-    # the budget per segment, plus the stencils of 3 rows
-    assert len(calls) <= 2 * diffgeo._ARC_MAX_R_CALLS + 3 * 3
+    # the budget of the first segment, plus the stencils of 3 rows
+    assert len(calls) <= diffgeo._ARC_MAX_R_CALLS + 3 * 3
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -1576,6 +1576,53 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["sample", *FIG4, "--samples", "4"], 0),
+            (["sample", *FIG4, "--n", "0"], 2),
+            (["verify", "--config", "no-such-dir/config.json"], 4),
+        ],
+        ids=["success", "exit-2", "exit-4"],
+    )
+    def test_a_process_ends_as_main_returns(self, tmp_path, capsys, argv, code):
+        # the process leaves without finalizing the interpreter, which
+        # changes nothing a run shows
+        proc = run_process(argv, tmp_path / "process")
+        assert main([*argv, "--out", str(tmp_path / "inline")]) == code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+        def files(d):
+            return {f.name: f.read_bytes() for f in d.iterdir()} if d.exists() else None
+
+        assert files(tmp_path / "process") == files(tmp_path / "inline")
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,stream,code",
+        [
+            (["--help"], "stdout", 0),
+            ([], "stderr", 2),
+            (["sample", *FIG4, "--n", "0", "--out", "."], "stderr", 2),
+        ],
+        ids=["help", "usage", "invalid"],
+    )
+    def test_a_reader_that_has_gone_changes_no_exit_code(self, unbuffered, argv, stream, code):
+        # the stream is a pipe whose read end is closed before the run starts
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        r, w = os.pipe()
+        os.close(r)
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: w}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "polarlac", *argv], env=env, **streams)
+        finally:
+            os.close(w)
+        assert proc.returncode == code
+        assert (proc.stdout or b"") + (proc.stderr or b"") == b""
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("polar-lac")

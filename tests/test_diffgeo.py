@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from polarlac import (
+    CurveParams,
     OdeBlowUp,
     arc_length,
     compare,
@@ -13,6 +14,7 @@ from polarlac import (
     numeric_curvature,
     numeric_phi,
     ode_arc_length,
+    parse,
     radius_at,
 )
 from polarlac import curve, diffgeo
@@ -310,6 +312,29 @@ class TestCompare:
         assert report.ode_residual.count == 31
         assert report.ode_residual.max <= 1e-8
 
+    def test_no_segment_is_measured_once_s_is_lost(self, monkeypatch):
+        # the first segment fails, and no later one can make s finite again
+        calls = []
+        measure = diffgeo.numeric_arc_length
+
+        def counting(R, theta_a, theta_b):
+            calls.append(theta_a)
+            return measure(R, theta_a, theta_b)
+
+        monkeypatch.setattr(diffgeo, "numeric_arc_length", counting)
+        report = compare(params(1.0, phi="theta^0.25 + 3"), 32)
+        assert calls == [0.0]
+        assert all(math.isnan(r.s_numeric) for r in report.rows[1:])
+
+    def test_an_rms_whose_squares_overflow_stays_finite(self):
+        # v*v overflows on this input's arc residuals, whose max is 1.39e172
+        p = CurveParams(-8.880053305523809e58, 1, 2, 1.146207586290556e-175, 1, parse("ln(theta)"))
+        arc = compare(p, 6).arc_residual
+        assert arc.max == 1.3869619828845515e172
+        assert math.isfinite(arc.rms) and arc.rms <= arc.max
+        # each square is finite here, but fsum's running sum overflows
+        assert diffgeo._summary([1e154, 1e154]) == (1e154, 1e154, 2)
+
     def test_a_degenerate_row_lends_r_to_both_its_segments(self):
         # 1 + f' = (theta - 1)^4, so R and R' vanish at theta = 1: row 1's
         # stencil raises, but its sampled R still ends segment 1 and starts
@@ -363,9 +388,9 @@ class TestCompare:
         assert calls["phi"] <= 8
 
     def test_memory_stays_bounded_when_segments_exhaust_the_budget(self):
-        # each of the 7 segments of a 1e6-radian sweep of an oscillating R
-        # makes 8,191 R calls before it stops at the budget; only one
-        # segment's points are held at a time, about 0.4 MB
+        # the first of the 7 segments of a 1e6-radian sweep of an
+        # oscillating R makes 8,191 R calls before it stops at the budget,
+        # and the rest are not measured; its points are held, about 0.4 MB
         p = params(2.0, b=2.0, theta1=1e6, phi="sin(theta)")
         tracemalloc.start()
         try:
